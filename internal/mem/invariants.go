@@ -13,7 +13,9 @@ import "fmt"
 //     and every recorded sharer either holds the line in S/O or has
 //     silently... (we do precise bookkeeping, so: holds it in S or is the
 //     owner in O).
-//  4. No L1 set exceeds its associativity.
+//  4. No L1 set holds a line in two ways. (Associativity is structural:
+//     each set is a fixed L1Ways-wide slice.)
+//  5. No core has a granting reply in flight.
 type holder struct {
 	core  int
 	state State
@@ -22,20 +24,21 @@ type holder struct {
 func (s *System) CheckInvariants() error {
 	holders := make(map[uint64][]holder)
 	for core := range s.l1 {
-		for si, set := range s.l1[core].sets {
-			if len(set) > s.p.L1Ways {
-				return fmt.Errorf("mem: core %d set %d has %d ways (max %d)", core, si, len(set), s.p.L1Ways)
-			}
+		if n := len(s.l1[core].inflight); n > 0 {
+			return fmt.Errorf("mem: core %d has %d granting replies in flight at quiescence", core, n)
+		}
+		ways := s.l1[core].ways
+		for si := 0; si < len(ways); si += s.p.L1Ways {
 			seen := map[uint64]bool{}
-			for _, sl := range set {
-				if sl.state == Invalid {
+			for _, w := range ways[si : si+s.p.L1Ways] {
+				if w.state() == Invalid {
 					continue
 				}
-				if seen[sl.line] {
-					return fmt.Errorf("mem: core %d holds line %#x in two ways", core, sl.line)
+				if seen[w.line()] {
+					return fmt.Errorf("mem: core %d holds line %#x in two ways", core, w.line())
 				}
-				seen[sl.line] = true
-				holders[sl.line] = append(holders[sl.line], holder{core, sl.state})
+				seen[w.line()] = true
+				holders[w.line()] = append(holders[w.line()], holder{core, w.state()})
 			}
 		}
 	}

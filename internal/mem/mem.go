@@ -20,6 +20,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
@@ -108,13 +109,12 @@ type bitset [4]uint64 // up to 256 cores
 func (b *bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b *bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b *bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b *bitset) empty() bool    { return b[0]|b[1]|b[2]|b[3] == 0 }
 
 func (b *bitset) count() int {
 	n := 0
 	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -122,18 +122,9 @@ func (b *bitset) count() int {
 func (b *bitset) forEach(fn func(i int)) {
 	for wi, w := range b {
 		for ; w != 0; w &= w - 1 {
-			fn(wi*64 + trailingZeros(w))
+			fn(wi*64 + bits.TrailingZeros64(w))
 		}
 	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }
 
 // dirLine is the directory entry for one line, held at its home bank.
@@ -153,35 +144,71 @@ type dirLine struct {
 	settleAt sim.Time
 }
 
-type l1slot struct {
-	line  uint64
-	state State
-}
+// way is one packed L1 way: (line+1)<<wayStateBits | state. The zero way
+// was never filled; it decodes as an Invalid copy of no real line, and
+// since fill only ever rotates ways towards the front of a set, empty ways
+// stay at the set's tail. An invalidated way keeps its line tag: fill
+// reuses a way that still names the line before taking any other invalid
+// one.
+type way uint64
 
+const wayStateBits = 3
+
+func packWay(line uint64, st State) way { return way((line+1)<<wayStateBits | uint64(st)) }
+
+func (w way) line() uint64       { return uint64(w)>>wayStateBits - 1 }
+func (w way) state() State       { return State(w & (1<<wayStateBits - 1)) }
+func (w *way) setState(st State) { *w = packWay(w.line(), st) }
+
+// l1cache is one core's private L1 and its requester-side bookkeeping.
 type l1cache struct {
-	sets [][]l1slot // MRU-first
-	// st holds the per-line side state: spin waiters, and the epoch
-	// counting invalidations per line — an in-flight refill whose line
-	// was invalidated after the directory released it must not install a
-	// stale copy.
-	st pagedStore[l1line]
+	// ways holds L1Sets sets of L1Ways packed ways each, MRU-first within
+	// a set. It is allocated on the core's first fill, not in New: a
+	// machine is built per sweep point, and construction must stay
+	// O(cores) (see TestNewAllocatesPerCoreOnly).
+	ways []way
+	// inflight lists the core's granted transactions whose reply is still
+	// in flight. An invalidation of a listed line marks the entry stale,
+	// and the fill it would have installed is dropped.
+	inflight []*txn
+	// spins lists the lines the core spins on. A spinner registers only
+	// on a line valid in its L1, so invalidateL1 and evict — the only ways
+	// a valid line leaves — find every waiter here.
+	spins []spinWait
 }
 
-// epoch returns the invalidation epoch for line (0 if never invalidated).
-func (c *l1cache) epoch(line uint64) uint64 {
-	if le := c.st.get(line); le != nil {
-		return le.epoch
-	}
-	return 0
+type spinWait struct {
+	line uint64
+	q    *sim.WaitQueue
 }
 
-// spinQueue returns line's spin-waiter queue, creating it on first use.
+// spinQueue returns line's spin-waiter queue, reusing a drained entry
+// before adding one.
 func (c *l1cache) spinQueue(line uint64) *sim.WaitQueue {
-	le := c.st.fetch(line)
-	if le.waiters == nil {
-		le.waiters = &sim.WaitQueue{}
+	var free *spinWait
+	for i := range c.spins {
+		if sw := &c.spins[i]; sw.q.Len() == 0 {
+			free = sw
+		} else if sw.line == line {
+			return sw.q
+		}
 	}
-	return le.waiters
+	if free == nil {
+		c.spins = append(c.spins, spinWait{q: &sim.WaitQueue{}})
+		free = &c.spins[len(c.spins)-1]
+	}
+	free.line = line
+	return free.q
+}
+
+// wakeSpinners wakes line's spinners, if any, after d cycles.
+func (c *l1cache) wakeSpinners(line uint64, d sim.Time) {
+	for _, sw := range c.spins {
+		if sw.line == line && sw.q.Len() > 0 {
+			sw.q.WakeAll(d)
+			return
+		}
+	}
 }
 
 // System is the wired coherent memory hierarchy.
@@ -192,7 +219,7 @@ type System struct {
 	l1   []l1cache
 	// lines is the paged dense store of per-line word values and
 	// directory entries (see store.go).
-	lines pagedStore[lineEntry]
+	lines lineStore
 	mc    [4]sim.AsyncResource
 	// txnFree recycles transaction state machines; the engine is single-
 	// threaded, so a plain freelist suffices and steady-state transactions
@@ -223,25 +250,12 @@ func New(eng *sim.Engine, mesh *noc.Mesh, p Params) *System {
 	if p.Cores > 256 {
 		panic("mem: more than 256 cores not supported")
 	}
-	s := &System{
+	return &System{
 		eng:  eng,
 		mesh: mesh,
 		p:    p,
 		l1:   make([]l1cache, p.Cores),
 	}
-	// A fresh directory entry has no owner; page-granular initialization
-	// keeps the per-entry cost off the lookup path. Page geometry trades
-	// first-touch zeroing (machines are built per sweep point) against
-	// table size: the global line store carries ~180 B entries on pages
-	// of 128; the per-core side stores carry 16 B entries on pages of 64,
-	// since they are replicated Cores times.
-	s.lines.init = func(le *lineEntry) { le.dir.owner = -1 }
-	s.lines.shift = 7
-	for i := range s.l1 {
-		s.l1[i] = l1cache{sets: make([][]l1slot, p.L1Sets)}
-		s.l1[i].st.shift = 6
-	}
-	return s
 }
 
 // Params returns the configuration the system was built with.
@@ -280,15 +294,25 @@ func (s *System) setWord(addr, val uint64) {
 	s.lines.fetch(Line(addr)).words[wordIdx(addr)] = val
 }
 
-// lookup finds the L1 slot for line in core's cache, moving it to MRU.
-func (c *l1cache) lookup(setsMask uint64, line uint64) *l1slot {
-	set := c.sets[line&setsMask]
-	for i := range set {
-		if set[i].line == line && set[i].state != Invalid {
-			if i != 0 {
-				sl := set[i]
-				copy(set[1:i+1], set[0:i])
-				set[0] = sl
+// set returns the L1 set line maps to at core (nil before the core's
+// first fill).
+func (s *System) set(core int, line uint64) []way {
+	c := &s.l1[core]
+	if c.ways == nil {
+		return nil
+	}
+	i := int(line&s.setsMask()) * s.p.L1Ways
+	return c.ways[i : i+s.p.L1Ways]
+}
+
+// lookup finds the valid way holding line in core's L1, moving it to MRU.
+func (s *System) lookup(core int, line uint64) *way {
+	set := s.set(core, line)
+	for i, w := range set {
+		if w.line() == line && w.state() != Invalid {
+			if i > 0 {
+				copy(set[1:i+1], set[:i])
+				set[0] = w
 			}
 			return &set[0]
 		}

@@ -1,10 +1,8 @@
 package mem
 
-import "wisync/internal/sim"
-
 // This file implements the paged dense line store that backs the memory
-// system's per-line state (word values + directory entries, and the
-// per-core L1 epoch/spin-waiter side tables). The previous implementation
+// system's global per-line state: word values and directory entries. The
+// L1s keep no per-line side state (see l1cache). The previous implementation
 // kept four hash maps keyed by line or word address; profiles put their
 // hashing and probing at ~5% of a Baseline run. Workload addresses come
 // from the machine's linear allocator (a bump pointer starting at 1 MB),
@@ -18,59 +16,37 @@ import "wisync/internal/sim"
 // allocator's layout — only speed does. BenchmarkLineStore in
 // store_test.go pins the dense path's advantage over the map it replaced.
 
-// defaultPageShift is log2 of the lines per page when a store does not
-// choose its own geometry.
-const defaultPageShift = 9
+// pageShift is log2 of the lines per page. Machines are built per sweep
+// point, so a freshly touched page is zeroed memory on that point's
+// critical path: pages of 128 ~180 B entries trade first-touch cost
+// against page-table size.
+const pageShift = 7
 
-// maxDensePages bounds the directly indexed page table of every store.
-// Lines whose page index lands above it fall back to the sparse map, so
-// the dense window only bounds speed, never correctness. At the default
-// shift, 1<<15 pages cover 1 GB of simulated address space — far beyond
-// the linear allocator's reach — with a worst-case page-pointer table of
-// 256 KB.
+// maxDensePages bounds the directly indexed page table. Lines whose page
+// index lands above it fall back to the sparse map, so the dense window
+// only bounds speed, never correctness. 1<<15 pages cover 256 MB of
+// simulated address space — far beyond the linear allocator's reach —
+// with a worst-case page-pointer table of 256 KB.
 const maxDensePages = 1 << 15
 
 // lineWords is the number of 64-bit words per coherence line.
 const lineWords = LineBytes / 8
 
-// pagedStore is a paged dense map from line index to *T with a sparse
-// overflow map. The zero value is empty and ready to use. Entry pointers
-// are stable for the life of the store (pages and sparse entries are never
-// moved), so callers may hold them across events.
-//
-// Page geometry is per store (shift, log2 lines per page): machines are
-// built per sweep point, so a freshly touched page is zeroed memory on
-// that point's critical path — stores with large entries or wide
-// replication (one store per core) choose small pages to keep first-touch
-// cost down, while lookups stay one shift + two indexed loads either way.
-type pagedStore[T any] struct {
-	pages  []*storePage[T]
-	sparse map[uint64]*T
-	// init, when non-nil, runs once on every entry of a freshly allocated
-	// page (and on each sparse entry) before first use.
-	init func(*T)
-	// shift is log2 of the lines per page (0 selects defaultPageShift).
-	shift uint
-}
-
-type storePage[T any] struct {
-	lines []T
-}
-
-func (st *pagedStore[T]) pageShift() uint {
-	if st.shift == 0 {
-		return defaultPageShift
-	}
-	return st.shift
+// lineStore is a paged dense map from line index to *lineEntry with a
+// sparse overflow map. The zero value is empty and ready to use. Entry
+// pointers are stable for the life of the store (pages and sparse entries
+// are never moved), so callers may hold them across events.
+type lineStore struct {
+	pages  []*[1 << pageShift]lineEntry
+	sparse map[uint64]*lineEntry
 }
 
 // get returns the entry for line, or nil if the line was never touched.
-func (st *pagedStore[T]) get(line uint64) *T {
-	sh := st.pageShift()
-	pi := line >> sh
+func (st *lineStore) get(line uint64) *lineEntry {
+	pi := line >> pageShift
 	if pi < uint64(len(st.pages)) {
 		if pg := st.pages[pi]; pg != nil {
-			return &pg.lines[line&(1<<sh-1)]
+			return &pg[line&(1<<pageShift-1)]
 		}
 		return nil
 	}
@@ -78,47 +54,31 @@ func (st *pagedStore[T]) get(line uint64) *T {
 }
 
 // fetch returns the entry for line, creating it (and its page) on demand.
-func (st *pagedStore[T]) fetch(line uint64) *T {
-	sh := st.pageShift()
-	pi := line >> sh
+// A fresh entry's directory has no owner.
+func (st *lineStore) fetch(line uint64) *lineEntry {
+	pi := line >> pageShift
 	if pi < maxDensePages {
-		if need := pi + 1; need > uint64(len(st.pages)) {
-			// Grow with doubling capacity: the bump allocator produces
-			// ascending page indices, so growing to exactly need would
-			// recopy the whole table once per new page.
-			if need <= uint64(cap(st.pages)) {
-				st.pages = st.pages[:need]
-			} else {
-				newCap := 2 * uint64(cap(st.pages))
-				if newCap < need {
-					newCap = need
-				}
-				pages := make([]*storePage[T], need, newCap)
-				copy(pages, st.pages)
-				st.pages = pages
-			}
+		// append's amortized doubling matters here: the bump allocator
+		// produces ascending page indices, one new page at a time.
+		for uint64(len(st.pages)) <= pi {
+			st.pages = append(st.pages, nil)
 		}
 		pg := st.pages[pi]
 		if pg == nil {
-			pg = &storePage[T]{lines: make([]T, 1<<sh)}
-			if st.init != nil {
-				for i := range pg.lines {
-					st.init(&pg.lines[i])
-				}
+			pg = new([1 << pageShift]lineEntry)
+			for i := range pg {
+				pg[i].dir.owner = -1
 			}
 			st.pages[pi] = pg
 		}
-		return &pg.lines[line&(1<<sh-1)]
+		return &pg[line&(1<<pageShift-1)]
 	}
 	e := st.sparse[line]
 	if e == nil {
 		if st.sparse == nil {
-			st.sparse = make(map[uint64]*T)
+			st.sparse = make(map[uint64]*lineEntry)
 		}
-		e = new(T)
-		if st.init != nil {
-			st.init(e)
-		}
+		e = &lineEntry{dir: dirLine{owner: -1}}
 		st.sparse[line] = e
 	}
 	return e
@@ -129,15 +89,6 @@ func (st *pagedStore[T]) fetch(line uint64) *T {
 type lineEntry struct {
 	words [lineWords]uint64
 	dir   dirLine
-}
-
-// l1line is the per-core, per-line L1 side state: the invalidation epoch
-// and the spin-waiter queue. The queue is a lazily allocated pointer —
-// most lines are never spun on, and the l1 store is replicated per core,
-// so entry size directly multiplies machine-construction cost.
-type l1line struct {
-	epoch   uint64
-	waiters *sim.WaitQueue
 }
 
 // wordIdx returns addr's word slot within its line. Word addresses are

@@ -8,15 +8,14 @@ import (
 )
 
 func TestPagedStoreDenseAndSparse(t *testing.T) {
-	var st pagedStore[lineEntry]
-	st.init = func(le *lineEntry) { le.dir.owner = -1 }
+	var st lineStore
 
 	if st.get(100) != nil {
 		t.Error("get of untouched line is non-nil")
 	}
 	e := st.fetch(100)
 	if e.dir.owner != -1 {
-		t.Errorf("fresh dense entry owner = %d, want -1 (init not applied)", e.dir.owner)
+		t.Errorf("fresh dense entry owner = %d, want -1", e.dir.owner)
 	}
 	e.words[3] = 42
 	if got := st.get(100); got != e {
@@ -28,7 +27,7 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 	}
 
 	// A line far beyond the dense window lands in the sparse map.
-	huge := uint64(maxDensePages)<<st.pageShift() + 12345
+	huge := uint64(maxDensePages)<<pageShift + 12345
 	s := st.fetch(huge)
 	if s.dir.owner != -1 {
 		t.Errorf("fresh sparse entry owner = %d, want -1", s.dir.owner)
@@ -52,8 +51,8 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 func TestSystemSparseAddressFallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := New(eng, noc.New(4, 2), DefaultParams(4))
-	// Past the dense window at any page geometry the store might choose.
-	sparseAddr := uint64(maxDensePages<<defaultPageShift)*LineBytes + 0x40
+	// Past the dense window.
+	sparseAddr := uint64(maxDensePages<<pageShift)*LineBytes + 0x40
 
 	s.Poke(sparseAddr, 99)
 	if got := s.Peek(sparseAddr); got != 99 {
@@ -95,10 +94,10 @@ func TestWordIdxAliasing(t *testing.T) {
 }
 
 // BenchmarkLineStore pins the dense paged store's advantage over the hash
-// maps it replaced (words/dir/epochs keyed by address or line). The access
-// pattern models a transaction's hot lookups: a directory fetch plus a
-// word read/write over a kernel-sized working set, with the 90%-reread
-// locality a barrier-driven kernel exhibits.
+// maps it replaced (words and directory entries keyed by address or
+// line). The access pattern models a transaction's hot lookups: a
+// directory fetch plus a word read/write over a kernel-sized working set,
+// with the 90%-reread locality a barrier-driven kernel exhibits.
 func BenchmarkLineStore(b *testing.B) {
 	// Working set: ~2000 lines starting at the allocator base, like a
 	// 256-core TightLoop.
@@ -106,8 +105,7 @@ func BenchmarkLineStore(b *testing.B) {
 	const base = (1 << 20) / LineBytes
 
 	b.Run("paged", func(b *testing.B) {
-		var st pagedStore[lineEntry]
-		st.init = func(le *lineEntry) { le.dir.owner = -1 }
+		var st lineStore
 		b.ReportAllocs()
 		var sink uint64
 		for i := 0; i < b.N; i++ {
