@@ -1,20 +1,29 @@
 package apps
 
 import (
+	"flag"
 	"fmt"
 	"testing"
 
 	"wisync/internal/config"
 	"wisync/internal/core"
-	"wisync/internal/sim"
+	"wisync/internal/recorded"
 )
 
-// The equivalence suite proves the continuation-form profile interpreter
-// (task.go) is bit-identical to the blocking loop nest in RunExec: every
-// reported metric and every mem/net/MAC protocol counter must match
-// exactly, across seeds, architectures and profile shapes. Together with
-// the apps golden table in package harness (whose committed file predates
-// the port), this pins that the task rewrite moved no simulated result.
+// The recorded-reference suite pins the profile interpreter at points
+// outside the apps golden table in package harness: every reported metric
+// and every mem/net/MAC protocol counter must match
+// testdata/equivalence.tsv exactly, across seeds, architectures and
+// profile shapes. The file was recorded from the blocking loop nest the
+// continuation-form interpreter replaced. Regenerate it only after an
+// intended behaviour change:
+//
+//	go test ./internal/apps -run Equivalence -update-golden
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/equivalence.tsv from the current interpreter")
+
+const equivPath = "testdata/equivalence.tsv"
 
 // equivProfiles picks profiles covering every interpreter path: barrier
 // phases with reductions (streamcluster), a serialized hot lock
@@ -44,29 +53,33 @@ func equivProfiles() []Profile {
 	return ps
 }
 
-// stripSched clears the one field where the execution modes legitimately
-// differ: SchedStats describe simulator mechanics (wheel routing, step
-// reuse), not simulated behavior.
-func stripSched(r Result) Result {
-	r.Sched = sim.SchedStats{}
-	return r
+// plain renders an application result field by field, without its input
+// profile and configuration, and without Sched: SchedStats describe
+// simulator mechanics (wheel routing, step reuse), not simulated behaviour.
+func plain(r Result) string { return recorded.Fields(r, "Profile", "Cfg", "Sched") }
+
+// face is the execution mode the rows are produced with: the task face is
+// checked against the file, which -update-golden records from the thread
+// face.
+func face() core.Exec {
+	if *updateGolden {
+		return core.ExecThread
+	}
+	return core.ExecTask
 }
 
 func TestRunExecEquivalence(t *testing.T) {
+	var rows []recorded.Row
 	for _, p := range equivProfiles() {
 		for _, kind := range config.Kinds {
 			for _, seed := range []uint64{1, 42} {
 				cfg := config.New(kind, 16).WithSeed(seed)
-				thread := stripSched(RunExec(cfg, p, core.ExecThread))
-				task := stripSched(RunExec(cfg, p, core.ExecTask))
-				a, b := fmt.Sprintf("%+v", thread), fmt.Sprintf("%+v", task)
-				if a != b {
-					t.Errorf("%s on %v/16c seed %d: thread and task execution diverged\nthread: %s\n  task: %s",
-						p.Name, kind, seed, a, b)
-				}
+				id := fmt.Sprintf("%s/%v/16c/s%d", p.Name, kind, seed)
+				rows = append(rows, recorded.Row{ID: id, Value: plain(RunExec(cfg, p, face()))})
 			}
 		}
 	}
+	recorded.Check(t, equivPath, "16c", rows, *updateGolden)
 }
 
 // TestRunExecEquivalenceFig10Point spot-checks the Figure 10 geometry (64
@@ -76,20 +89,17 @@ func TestRunExecEquivalenceFig10Point(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-core equivalence points")
 	}
+	var rows []recorded.Row
 	for _, name := range []string{"streamcluster", "radiosity"} {
 		p, _ := ByName(name)
 		p.Iterations = 3
 		for _, kind := range []config.Kind{config.Baseline, config.WiSyncNoT, config.WiSync} {
 			cfg := config.New(kind, 64)
-			thread := stripSched(RunExec(cfg, p, core.ExecThread))
-			task := stripSched(RunExec(cfg, p, core.ExecTask))
-			a, b := fmt.Sprintf("%+v", thread), fmt.Sprintf("%+v", task)
-			if a != b {
-				t.Errorf("%s on %v/64c: thread and task execution diverged\nthread: %s\n  task: %s",
-					name, kind, a, b)
-			}
+			id := fmt.Sprintf("%s/%v/64c/s1", name, kind)
+			rows = append(rows, recorded.Row{ID: id, Value: plain(RunExec(cfg, p, face()))})
 		}
 	}
+	recorded.Check(t, equivPath, "64c", rows, *updateGolden)
 }
 
 // TestTaskModeRecyclesSteps asserts the interpreter actually reuses its

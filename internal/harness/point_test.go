@@ -166,3 +166,27 @@ func TestPointSpecValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestPointDigestPinned pins PointSpec.Digest to literal values, so
+// entries a disk cache (-cache-dir, files named <digest>-s<seed>.row)
+// stored under an earlier build stay valid: a change to the digest key
+// silently orphans every cached row.
+func TestPointDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec PointSpec
+		want string
+	}{
+		{PointSpec{Workload: "livermore2", Kind: config.WiSync, Cores: 64, Seed: 1, N: 96, Passes: 1},
+			"f836508069741347d6cba8943bcf6c0d611869e99f33ab826fab8f070af0116d"},
+		{PointSpec{Workload: "tightloop", Kind: config.Baseline, Cores: 16, Seed: 1},
+			"9e3363a2bf2ce8480f2fced06e2a9b8cc38b8ec63d29c902cf7459058de74254"},
+	} {
+		got, err := c.spec.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.spec.ID(), got, c.want)
+		}
+	}
+}

@@ -1,18 +1,27 @@
 package kernels
 
 import (
+	"flag"
 	"fmt"
 	"testing"
 
 	"wisync/internal/config"
+	"wisync/internal/recorded"
 )
 
-// The equivalence suite proves the continuation-form (ExecTask) kernels
-// are bit-identical to their blocking (ExecThread) twins: every reported
-// metric and every mem/net/MAC protocol counter must match exactly, across
-// seeds and all four architectures. Together with the golden-conformance
-// suite in package harness (whose committed file predates the conversion),
-// this pins that the task rewrite moved no simulated result.
+// The recorded-reference suite pins the kernels at points outside the
+// golden matrix in package harness: every reported metric and every
+// mem/net/MAC protocol counter must match testdata/equivalence.tsv
+// exactly, across seeds and all four architectures. The file was recorded
+// from the blocking reference implementation the continuation-form
+// kernels replaced. Regenerate it only after an intended behaviour change:
+//
+//	go test ./internal/kernels -run Equivalence -update-golden
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/equivalence.tsv from the current kernels")
+
+const equivPath = "testdata/equivalence.tsv"
 
 var equivSeeds = []uint64{1, 42}
 
@@ -29,65 +38,75 @@ func equivConfigs() []config.Config {
 	return cfgs
 }
 
-// mustEqual asserts two kernel results (any printable struct) match
-// field-for-field.
-func mustEqual(t *testing.T, what string, cfg config.Config, thread, task any) {
-	t.Helper()
-	a, b := fmt.Sprintf("%+v", thread), fmt.Sprintf("%+v", task)
-	if a != b {
-		t.Errorf("%s on %v/%dc seed %d: thread and task execution diverged\nthread: %s\n  task: %s",
-			what, cfg.Kind, cfg.Cores, cfg.Seed, a, b)
+// pointID names a configuration within a group.
+func pointID(cfg config.Config) string {
+	return fmt.Sprintf("%v/%dc/s%d", cfg.Kind, cfg.Cores, cfg.Seed)
+}
+
+// plain renders a kernel result field by field, without its input
+// configuration.
+func plain(r any) string { return recorded.Fields(r, "Cfg") }
+
+// face is the execution mode the rows are produced with: the task face is
+// checked against the file, which -update-golden records from the thread
+// face.
+func face() Exec {
+	if *updateGolden {
+		return ExecThread
 	}
+	return ExecTask
 }
 
 func TestTightLoopExecEquivalence(t *testing.T) {
+	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		mustEqual(t, "tightloop", cfg,
-			TightLoopExec(cfg, 6, ExecThread),
-			TightLoopExec(cfg, 6, ExecTask))
+		rows = append(rows, recorded.Rowf(pointID(cfg), plain(TightLoopExec(cfg, 6, face()))))
 	}
+	recorded.Check(t, equivPath, "tightloop", rows, *updateGolden)
 }
 
 func TestLivermore2ExecEquivalence(t *testing.T) {
+	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		rThread, xThread := Livermore2Exec(cfg, 48, 1, ExecThread)
-		rTask, xTask := Livermore2Exec(cfg, 48, 1, ExecTask)
-		mustEqual(t, "livermore2", cfg, rThread, rTask)
-		mustEqual(t, "livermore2 vector", cfg, xThread, xTask)
+		r, x := Livermore2Exec(cfg, 48, 1, face())
+		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
+			recorded.Rowf(pointID(cfg)+"/x", x))
 	}
+	recorded.Check(t, equivPath, "livermore2", rows, *updateGolden)
 }
 
 func TestLivermore3ExecEquivalence(t *testing.T) {
+	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		rThread, sThread := Livermore3Exec(cfg, 96, 2, ExecThread)
-		rTask, sTask := Livermore3Exec(cfg, 96, 2, ExecTask)
-		mustEqual(t, "livermore3", cfg, rThread, rTask)
-		if sThread != sTask {
-			t.Errorf("livermore3 on %v seed %d: inner product %v vs %v", cfg.Kind, cfg.Seed, sThread, sTask)
-		}
+		r, s := Livermore3Exec(cfg, 96, 2, face())
+		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
+			recorded.Rowf(pointID(cfg)+"/sum", s))
 	}
+	recorded.Check(t, equivPath, "livermore3", rows, *updateGolden)
 }
 
 func TestLivermore6ExecEquivalence(t *testing.T) {
+	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		rThread, wThread := Livermore6Exec(cfg, 24, ExecThread)
-		rTask, wTask := Livermore6Exec(cfg, 24, ExecTask)
-		mustEqual(t, "livermore6", cfg, rThread, rTask)
-		mustEqual(t, "livermore6 vector", cfg, wThread, wTask)
+		r, w := Livermore6Exec(cfg, 24, face())
+		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
+			recorded.Rowf(pointID(cfg)+"/w", w))
 	}
+	recorded.Check(t, equivPath, "livermore6", rows, *updateGolden)
 }
 
 func TestCASKernelExecEquivalence(t *testing.T) {
 	// All three CAS kinds: the FIFO/LIFO/ADD kernels drive the CAS/backoff
 	// retry loop — the contended-update path — under an open-ended
 	// RunUntil horizon.
+	var rows []recorded.Row
 	for _, kind := range []CASKind{FIFO, LIFO, ADD} {
 		for _, cfg := range equivConfigs() {
-			mustEqual(t, fmt.Sprintf("cas-%v", kind), cfg,
-				CASKernelExec(cfg, kind, 128, 8000, ExecThread),
-				CASKernelExec(cfg, kind, 128, 8000, ExecTask))
+			id := fmt.Sprintf("%v/%s", kind, pointID(cfg))
+			rows = append(rows, recorded.Rowf(id, plain(CASKernelExec(cfg, kind, 128, 8000, face()))))
 		}
 	}
+	recorded.Check(t, equivPath, "cas", rows, *updateGolden)
 }
 
 // TestExecEquivalenceLargerPoint spot-checks one bigger configuration per
@@ -98,13 +117,12 @@ func TestExecEquivalenceLargerPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-core equivalence points")
 	}
+	var rows []recorded.Row
 	for _, k := range []config.Kind{config.Baseline, config.WiSync} {
 		cfg := config.New(k, 64)
-		mustEqual(t, "tightloop", cfg,
-			TightLoopExec(cfg, 8, ExecThread),
-			TightLoopExec(cfg, 8, ExecTask))
-		mustEqual(t, "cas-fifo", cfg,
-			CASKernelExec(cfg, FIFO, 128, 20000, ExecThread),
-			CASKernelExec(cfg, FIFO, 128, 20000, ExecTask))
+		rows = append(rows,
+			recorded.Rowf("tightloop/"+pointID(cfg), plain(TightLoopExec(cfg, 8, face()))),
+			recorded.Rowf("cas-fifo/"+pointID(cfg), plain(CASKernelExec(cfg, FIFO, 128, 20000, face()))))
 	}
+	recorded.Check(t, equivPath, "64c", rows, *updateGolden)
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestAsyncResourceMirrorsBlockingResource drives the same contention
-// scenario through the blocking Resource (processes) and the AsyncResource
-// (continuations) and asserts the grant/release trace is identical: same
+// TestAsyncResourceMirrorsBlockingResource drives a contention scenario
+// through the AsyncResource (continuations) and asserts the grant/release
+// trace is the one the blocking, process-based Resource produced: same
 // holders, in the same order, at the same cycles. This is the equivalence
 // the continuation rewrite of the protocol models rests on.
 func TestAsyncResourceMirrorsBlockingResource(t *testing.T) {
@@ -75,8 +75,21 @@ func TestAsyncResourceMirrorsBlockingResource(t *testing.T) {
 		return append(trace, fmt.Sprintf("busy=%d", res.BusyCycles))
 	}()
 
-	if !reflect.DeepEqual(blocking, async) {
-		t.Errorf("grant traces diverge:\nblocking: %v\nasync:    %v", blocking, async)
+	// The trace the blocking Resource produced, recorded as the reference.
+	want := []string{
+		"grant w0@0", "release w0@5", "grant w1@5", "release w1@11", "grant w2@11", "release w2@18",
+		"grant w3@18", "release w3@26", "grant w4@26", "release w4@35", "grant w0@35", "release w0@41",
+		"grant w1@41", "release w1@48", "grant w2@48", "release w2@56", "grant w3@56", "release w3@65",
+		"grant w4@65", "release w4@75", "grant w0@75", "release w0@82", "grant w1@82", "release w1@90",
+		"grant w2@90", "release w2@99", "grant w3@99", "release w3@109", "grant w4@109", "release w4@120",
+		"grant w0@120", "release w0@128", "grant w1@128", "release w1@137", "grant w2@137", "release w2@147",
+		"grant w3@147", "release w3@158", "grant w4@158", "release w4@163", "busy=163",
+	}
+	if !reflect.DeepEqual(blocking, want) {
+		t.Errorf("blocking grant trace diverged from the reference:\n got: %v\nwant: %v", blocking, want)
+	}
+	if !reflect.DeepEqual(async, want) {
+		t.Errorf("grant trace diverged from the blocking reference:\n got: %v\nwant: %v", async, want)
 	}
 }
 

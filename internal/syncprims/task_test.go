@@ -1,17 +1,28 @@
 package syncprims
 
 import (
+	"flag"
 	"fmt"
 	"testing"
 
 	"wisync/internal/config"
 	"wisync/internal/core"
+	"wisync/internal/recorded"
 )
 
-// The syncprim equivalence tests drive each primitive's blocking and
-// continuation faces through the same workload and assert identical
-// simulated outcomes: final cycle count, protocol counters, and the
-// functional state the primitive protects.
+// The syncprim recorded-reference tests drive each primitive through a
+// fixed workload and assert its simulated outcome — final cycle count,
+// protocol counters, and the functional state the primitive protects —
+// matches testdata/equivalence.tsv exactly. The file was recorded from
+// the blocking reference implementation the continuation-form primitives
+// replaced. Regenerate it only after an intended behaviour change:
+//
+//	go test ./internal/syncprims -run Equivalence -update-golden
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/equivalence.tsv from the current primitives")
+
+const equivPath = "testdata/equivalence.tsv"
 
 // lockResult captures everything a lock workload can observe.
 type lockResult struct {
@@ -91,26 +102,29 @@ func lockResultOf(m *core.Machine, counter uint64) lockResult {
 // lock in both execution modes.
 func TestLockTaskEquivalence(t *testing.T) {
 	const rounds = 4
+	var rows []recorded.Row
 	for _, k := range config.Kinds {
 		for _, seed := range []uint64{1, 42} {
 			cfg := config.New(k, 8).WithSeed(seed)
-			thread := runLockThreads(cfg, rounds)
-			task := runLockTasks(cfg, rounds)
-			if thread != task {
-				t.Errorf("%v seed %d: lock execution modes diverged\nthread: %+v\n  task: %+v",
-					k, seed, thread, task)
+			run := runLockTasks
+			if *updateGolden {
+				run = runLockThreads
 			}
-			if want := uint64(8 * rounds); task.Counter != want {
+			r := run(cfg, rounds)
+			if want := uint64(8 * rounds); r.Counter != want {
 				t.Errorf("%v seed %d: counter = %d, want %d (mutual exclusion broken?)",
-					k, seed, task.Counter, want)
+					k, seed, r.Counter, want)
 			}
+			rows = append(rows, recorded.Rowf(fmt.Sprintf("%v/8c/s%d", k, seed), r))
 		}
 	}
+	recorded.Check(t, equivPath, "lock", rows, *updateGolden)
 }
 
 // TestBarrierTaskEquivalence drives each barrier implementation directly
 // (not through a kernel): per-episode phase counters must observe full
-// synchronization, and both modes must finish at the same cycle.
+// synchronization, and the run must finish at the recorded cycle with the
+// recorded protocol counters.
 func TestBarrierTaskEquivalence(t *testing.T) {
 	const episodes = 5
 	run := func(cfg config.Config, task bool) (uint64, string) {
@@ -159,15 +173,13 @@ func TestBarrierTaskEquivalence(t *testing.T) {
 		}
 		return uint64(m.Now()), fmt.Sprintf("mem=%+v net=%s", m.Mem.Stats, net)
 	}
+	var rows []recorded.Row
 	for _, k := range config.Kinds {
 		for _, seed := range []uint64{1, 42} {
 			cfg := config.New(k, 16).WithSeed(seed)
-			cycThread, ctrThread := run(cfg, false)
-			cycTask, ctrTask := run(cfg, true)
-			if cycThread != cycTask || ctrThread != ctrTask {
-				t.Errorf("%v seed %d barrier modes diverged:\nthread: cyc=%d %s\n  task: cyc=%d %s",
-					k, seed, cycThread, ctrThread, cycTask, ctrTask)
-			}
+			cyc, ctr := run(cfg, !*updateGolden)
+			rows = append(rows, recorded.Row{ID: fmt.Sprintf("%v/16c/s%d", k, seed), Value: fmt.Sprintf("cyc=%d %s", cyc, ctr)})
 		}
 	}
+	recorded.Check(t, equivPath, "barrier", rows, *updateGolden)
 }

@@ -8,11 +8,11 @@ import (
 	"wisync/internal/sim"
 )
 
-// TestSendAsyncMirrorsSend drives the same transmission scenario through
-// the blocking Send (one process per message) and through SendAsync
-// (continuation chains, no processes) and asserts the completions are
-// identical: same nodes, same commit/withdraw outcomes, same cycles, in
-// the same order, with the same channel statistics. The scenario covers
+// TestSendAsyncMirrorsSend drives a transmission scenario through SendAsync
+// (continuation chains, no processes) and asserts the completions are the
+// ones the blocking Send (one process per message) produced: same nodes,
+// same commit/withdraw outcomes, same cycles, in the same order, with the
+// same channel statistics. The scenario covers
 // every completion path: clean commits, a same-slot collision with
 // backoff, FIFO deferral behind a busy channel, a grant-abandoned message
 // (prepare hook), and a transfer withdrawn while deferred.
@@ -70,11 +70,24 @@ func TestSendAsyncMirrorsSend(t *testing.T) {
 
 	blocking, blockingStats := run(false)
 	async, asyncStats := run(true)
-	if !reflect.DeepEqual(blocking, async) {
-		t.Errorf("completions diverge:\nblocking: %+v\nasync:    %+v", blocking, async)
+	// The completions and statistics the blocking Send produced, recorded
+	// as the reference.
+	want := []done{
+		{Node: 1, At: 7, Committed: true}, {Node: 5, At: 8, Committed: false},
+		{Node: 2, At: 12, Committed: true}, {Node: 0, At: 17, Committed: true},
+		{Node: 3, At: 17, Committed: false}, {Node: 4, At: 22, Committed: true},
+		{Node: 6, At: 27, Committed: true}, {Node: 7, At: 45, Committed: true},
 	}
-	if blockingStats != asyncStats {
-		t.Errorf("stats diverge:\nblocking: %+v\nasync:    %+v", blockingStats, asyncStats)
+	wantStats := Stats{Messages: 6, Collisions: 1, Withdrawn: 1, SkippedGrants: 1, BusyCycles: 32, LatencySum: 76}
+	if !reflect.DeepEqual(blocking, want) || blockingStats != wantStats {
+		t.Errorf("blocking completions diverged from the reference:\n got: %+v %+v\nwant: %+v %+v",
+			blocking, blockingStats, want, wantStats)
+	}
+	if !reflect.DeepEqual(async, want) {
+		t.Errorf("completions diverged from the blocking reference:\n got: %+v\nwant: %+v", async, want)
+	}
+	if asyncStats != wantStats {
+		t.Errorf("stats diverged from the blocking reference:\n got: %+v\nwant: %+v", asyncStats, wantStats)
 	}
 	// The scenario must genuinely exercise the non-commit completions.
 	if asyncStats.Withdrawn == 0 {
