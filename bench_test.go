@@ -151,10 +151,8 @@ func BenchmarkTxnContended(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := core.NewMachine(config.New(config.Baseline, cores))
 			line := m.AllocLine()
-			m.SpawnAll(func(t *core.Thread) {
-				for k := 0; k < opsPerCore; k++ {
-					t.FetchAdd(line, 1)
-				}
+			m.SpawnAll(func(t *core.Task) {
+				repeat(t, opsPerCore, func(next func()) { t.FetchAdd(line, 1, func(uint64) { next() }) })
 			})
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
@@ -174,10 +172,8 @@ func BenchmarkTxnContended(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m.SpawnAll(func(t *core.Thread) {
-				for k := 0; k < opsPerCore; k++ {
-					t.BMFetchAdd(addr, 1)
-				}
+			m.SpawnAll(func(t *core.Task) {
+				repeat(t, opsPerCore, func(next func()) { t.BMFetchAdd(addr, 1, func(uint64) { next() }) })
 			})
 			if err := m.Run(); err != nil {
 				b.Fatal(err)
@@ -191,62 +187,50 @@ func BenchmarkTxnContended(b *testing.B) {
 	})
 }
 
-// BenchmarkTaskTightLoop pins the workload-execution modes against each
-// other on the scaling regime that motivated the continuation conversion:
-// a single 256-core TightLoop point per machine substrate (Baseline's
-// directory storms, WiSyncNoT's Data-channel storms). The "task" variants
-// run goroutine-free on the engine goroutine; the "thread" variants pay
-// one goroutine park/unpark per forced suspension. Simulated results are
-// bit-identical by construction (cyc must never differ between the modes —
-// the equivalence suite enforces it; here it is reported so benchmark
-// diffs catch drift too).
+// BenchmarkTaskTightLoop pins the continuation-form hot loop on the scaling
+// regime that motivated the task conversion: a single 256-core TightLoop
+// point per machine substrate (Baseline's directory storms, WiSyncNoT's
+// Data-channel storms), run goroutine-free on the engine goroutine. cyc is
+// the simulated result, reported so benchmark diffs catch drift.
 func BenchmarkTaskTightLoop(b *testing.B) {
 	const cores = 256
 	const iters = 10
-	run := func(kind config.Kind, exec kernels.Exec) func(b *testing.B) {
+	run := func(kind config.Kind) func(b *testing.B) {
 		return func(b *testing.B) {
 			var cyc float64
 			for i := 0; i < b.N; i++ {
-				r := kernels.TightLoopExec(config.New(kind, cores), iters, exec)
+				r := kernels.TightLoop(config.New(kind, cores), iters)
 				cyc = float64(r.Cycles)
 			}
 			b.ReportMetric(cyc, "cyc")
 		}
 	}
-	b.Run("task-baseline", run(config.Baseline, kernels.ExecTask))
-	b.Run("thread-baseline", run(config.Baseline, kernels.ExecThread))
-	b.Run("task-wnot", run(config.WiSyncNoT, kernels.ExecTask))
-	b.Run("thread-wnot", run(config.WiSyncNoT, kernels.ExecThread))
+	b.Run("task-baseline", run(config.Baseline))
+	b.Run("task-wnot", run(config.WiSyncNoT))
 }
 
 // BenchmarkFig10App pins the full-application path on one representative
 // profile: streamcluster (the headline Figure 10 bar — barrier-phase bound
-// with reductions) at the Fig10 geometry, task vs thread execution. ns/op
-// is simulator wall time and allocs/op the interpreter's allocation rate —
-// task mode must stay goroutine-free and near-allocation-free; cyc is the
-// simulated result, identical between the modes by construction (the apps
-// equivalence suite enforces it; reported so benchmark diffs catch drift
-// too).
+// with reductions) at the Fig10 geometry. ns/op is simulator wall time and
+// allocs/op the interpreter's allocation rate, which must stay
+// near-allocation-free; cyc is the simulated result, reported so
+// benchmark diffs catch drift.
 func BenchmarkFig10App(b *testing.B) {
 	p, ok := apps.ByName("streamcluster")
 	if !ok {
 		b.Fatal("streamcluster profile missing")
 	}
 	p.Iterations = 4
-	run := func(exec core.Exec) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := config.New(config.WiSyncNoT, 64)
-			var cyc float64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := apps.RunExec(cfg, p, exec)
-				cyc = float64(r.Cycles)
-			}
-			b.ReportMetric(cyc, "cyc")
+	b.Run("task", func(b *testing.B) {
+		cfg := config.New(config.WiSyncNoT, 64)
+		var cyc float64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r := apps.Run(cfg, p)
+			cyc = float64(r.Cycles)
 		}
-	}
-	b.Run("task", run(core.ExecTask))
-	b.Run("thread", run(core.ExecThread))
+		b.ReportMetric(cyc, "cyc")
+	})
 }
 
 // BenchmarkShardedPoint pins the sharded-engine overhead on the tentpole
@@ -267,7 +251,7 @@ func BenchmarkShardedPoint(b *testing.B) {
 			var cyc float64
 			for i := 0; i < b.N; i++ {
 				cfg := config.New(config.WiSync, cores).WithShards(shards)
-				r := kernels.TightLoopExec(cfg, iters, kernels.ExecTask)
+				r := kernels.TightLoop(cfg, iters)
 				cyc = float64(r.Cycles)
 			}
 			cycs[idx] = cyc
@@ -287,17 +271,35 @@ func BenchmarkShardedPoint(b *testing.B) {
 
 // ---- Ablations (DESIGN.md section 5) ----
 
+// repeat runs op n times on the task, each round starting when the
+// previous one calls next, then finishes the task.
+func repeat(t *core.Task, n int, op func(next func())) {
+	i := 0
+	var next func()
+	next = func() {
+		if i == n {
+			t.Finish()
+			return
+		}
+		i++
+		op(next)
+	}
+	next()
+}
+
+// spawnBarrierLoop runs episodes barrier episodes on every core.
+func spawnBarrierLoop(m *core.Machine, bar syncprims.Barrier, episodes int) {
+	m.SpawnAll(func(t *core.Task) {
+		repeat(t, episodes, func(next func()) { bar.Wait(t, next) })
+	})
+}
+
 // benchBarrier measures one barrier configuration's cycles/episode.
 func benchBarrier(b *testing.B, cfg config.Config, episodes int) float64 {
 	var per float64
 	for i := 0; i < b.N; i++ {
 		m := core.NewMachine(cfg)
-		bar := syncprims.NewFactory(m).NewBarrier(nil)
-		m.SpawnAll(func(t *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				bar.Wait(t)
-			}
-		})
+		spawnBarrierLoop(m, syncprims.NewFactory(m).NewBarrier(nil), episodes)
 		if err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -357,12 +359,7 @@ func BenchmarkAblationRMWProtocol(b *testing.B) {
 				cfg := config.New(config.WiSyncNoT, 64)
 				m := core.NewMachine(cfg)
 				m.BM.SetRMWEarlyRead(early)
-				bar := syncprims.NewFactory(m).NewBarrier(nil)
-				m.SpawnAll(func(t *core.Thread) {
-					for e := 0; e < 10; e++ {
-						bar.Wait(t)
-					}
-				})
+				spawnBarrierLoop(m, syncprims.NewFactory(m).NewBarrier(nil), 10)
 				if err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
@@ -417,29 +414,30 @@ func BenchmarkAblationBulkVsSingles(b *testing.B) {
 				} else {
 					pcs = []*syncprims.PC{f.NewPC(1), f.NewPC(1), f.NewPC(1), f.NewPC(1)}
 				}
-				m.Spawn("producer", 0, 1, func(t *core.Thread) {
-					for n := 0; n < batches; n++ {
+				// Each batch moves the words through every channel in turn:
+				// one 4-word channel, or four 1-word channels.
+				vals := make([]uint64, words)
+				m.Spawn("producer", 0, 1, func(t *core.Task) {
+					n := 0
+					repeat(t, batches*len(pcs), func(next func()) {
 						if words == 4 {
-							pcs[0].Produce(t, []uint64{1, 2, 3, 4})
+							copy(vals, []uint64{1, 2, 3, 4})
 						} else {
-							for _, pc := range pcs {
-								pc.Produce(t, []uint64{uint64(n)})
-							}
+							vals[0] = uint64(n / len(pcs))
 						}
-					}
+						pc := pcs[n%len(pcs)]
+						n++
+						pc.Produce(t, vals, next)
+					})
 				})
-				m.Spawn("consumer", 3, 1, func(t *core.Thread) {
-					buf4 := make([]uint64, 4)
-					buf1 := make([]uint64, 1)
-					for n := 0; n < batches; n++ {
-						if words == 4 {
-							pcs[0].Consume(t, buf4)
-						} else {
-							for _, pc := range pcs {
-								pc.Consume(t, buf1)
-							}
-						}
-					}
+				m.Spawn("consumer", 3, 1, func(t *core.Task) {
+					buf := make([]uint64, words)
+					n := 0
+					repeat(t, batches*len(pcs), func(next func()) {
+						pc := pcs[n%len(pcs)]
+						n++
+						pc.Consume(t, buf, next)
+					})
 				})
 				if err := m.Run(); err != nil {
 					b.Fatal(err)

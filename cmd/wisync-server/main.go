@@ -30,7 +30,7 @@
 //	GET  /readyz   readiness: 503 while draining or replaying journaled
 //	               jobs after a restart, 200 once warm
 //
-// Malformed jobs — unknown workload, kind, MAC, exec mode or variant,
+// Malformed jobs — unknown workload, kind, MAC or variant,
 // out-of-range cores/shards/parameters, unknown JSON fields — are rejected
 // with 400 before any simulation runs. When the bounded admission queue is
 // full the server answers 429 with Retry-After instead of queueing

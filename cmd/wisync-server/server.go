@@ -16,7 +16,6 @@ import (
 	"wisync/internal/fault"
 	"wisync/internal/harness"
 	"wisync/internal/journal"
-	"wisync/internal/kernels"
 	"wisync/internal/sweepcache"
 	"wisync/internal/wireless"
 	"wisync/internal/workerpool"
@@ -24,7 +23,7 @@ import (
 
 // job is the wire form of one sweep request: a workload crossed with kind,
 // core-count and seed lists. Enum fields decode from their flag names
-// ("WiSync", "backoff", "task"); unknown names and unknown JSON fields are
+// ("WiSync", "backoff"); unknown names and unknown JSON fields are
 // a 400 at decode time, so nothing malformed ever reaches a worker.
 type job struct {
 	Workload string           `json:"workload"`
@@ -33,7 +32,6 @@ type job struct {
 	Seeds    []uint64         `json:"seeds,omitempty"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	Exec     kernels.Exec     `json:"exec,omitempty"`
 	Shards   int              `json:"shards,omitempty"`
 	Iters    int              `json:"iters,omitempty"`
 	N        int              `json:"n,omitempty"`
@@ -84,7 +82,7 @@ func (j job) expand() ([]harness.PointSpec, []sweepcache.Key, error) {
 			for _, seed := range j.Seeds {
 				spec := harness.PointSpec{
 					Workload: j.Workload, Kind: k, Cores: cores, Seed: seed,
-					Variant: j.Variant, MAC: j.MAC, Exec: j.Exec, Shards: j.Shards,
+					Variant: j.Variant, MAC: j.MAC, Shards: j.Shards,
 					Iters: j.Iters, N: j.N, Passes: j.Passes, CS: j.CS, Duration: j.Duration,
 					Channel: j.Channel, BER: j.BER, Retries: j.Retries,
 					BERGood: j.BERGood, PGB: j.PGB, PBG: j.PBG,

@@ -147,6 +147,30 @@ func TestServerGoldenSweep(t *testing.T) {
 
 // TestServerRejectsMalformed pins satellite #1: every malformed-job class
 // is a 400 with a JSON error body — never a panic, never a worker crash.
+// TestServerRejectsExecField pins that a live job naming the removed
+// execution-mode field is rejected as an unknown field, whatever its value;
+// only journal replay tolerates it (TestServerReplayAcceptsExecField).
+func TestServerRejectsExecField(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{Workers: 1})
+	for _, mode := range []string{"task", "thread"} {
+		body := `{"workload":"tightloop","kinds":["WiSync"],"cores":[16],"exec":"` + mode + `"}`
+		resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("exec %q: status %d, want 400", mode, resp.StatusCode)
+		} else if err != nil || !strings.Contains(e.Error, `unknown field "exec"`) {
+			t.Errorf("exec %q: error %q (%v), want an unknown-field error", mode, e.Error, err)
+		}
+	}
+}
+
 func TestServerRejectsMalformed(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxJobPoints: 8})
 	cases := map[string]string{
@@ -157,7 +181,6 @@ func TestServerRejectsMalformed(t *testing.T) {
 		"unknown kind":     `{"workload":"tightloop","kinds":["Quantum"]}`,
 		"numeric kind":     `{"workload":"tightloop","kinds":[2]}`,
 		"unknown mac":      `{"workload":"tightloop","mac":"aloha"}`,
-		"unknown exec":     `{"workload":"tightloop","exec":"fiber"}`,
 		"unknown variant":  `{"workload":"tightloop","variant":"Turbo"}`,
 		"zero cores":       `{"workload":"tightloop","cores":[0]}`,
 		"too many cores":   `{"workload":"tightloop","cores":[500]}`,

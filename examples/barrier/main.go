@@ -24,11 +24,19 @@ func main() {
 		for _, k := range config.Kinds {
 			m := core.NewMachine(config.New(k, cores))
 			b := syncprims.NewFactory(m).NewBarrier(nil)
-			m.SpawnAll(func(t *core.Thread) {
-				for e := 0; e < episodes; e++ {
+			m.SpawnAll(func(t *core.Task) {
+				e := 0
+				var episode func()
+				episode = func() {
+					if e == episodes {
+						t.Finish()
+						return
+					}
+					e++
 					t.Compute(50)
-					b.Wait(t)
+					b.Wait(t, episode)
 				}
+				episode()
 			})
 			if err := m.Run(); err != nil {
 				panic(err)

@@ -22,28 +22,37 @@ func main() {
 	barA, _ := m.Tone.AllocateBare(1, []int{0, 1, 2, 3})
 	barB, _ := m.Tone.AllocateBare(2, []int{4, 5, 6, 7})
 
+	// program adds delta to ctr, joins the barrier, and has its first
+	// core report the counter once released.
+	program := func(name string, ctr, bar uint32, delta uint64) func(*core.Task) {
+		return func(t *core.Task) {
+			t.BMFetchAdd(ctr, delta, func(uint64) {
+				t.ToneStore(bar, func() {
+					t.ToneWait(bar, 1, func() {
+						if t.Core%4 != 0 {
+							t.Finish()
+							return
+						}
+						t.BMLoad(ctr, func(v uint64) {
+							fmt.Printf("program %s: counter=%d, released at cycle %d\n", name, v, t.Now())
+							t.Finish()
+						})
+					})
+				})
+			})
+		}
+	}
+	runA, runB := program("A", ctrA, barA, 1), program("B", ctrB, barB, 2)
 	for c := 0; c < 4; c++ {
-		m.Spawn(fmt.Sprintf("A%d", c), c, 1, func(t *core.Thread) {
+		m.Spawn(fmt.Sprintf("A%d", c), c, 1, func(t *core.Task) {
 			t.Compute(10 * (t.Core + 1))
-			t.BMFetchAdd(ctrA, 1)
-			t.ToneStore(barA)
-			t.ToneWait(barA, 1)
-			if t.Core == 0 {
-				fmt.Printf("program A: counter=%d, released at cycle %d\n",
-					t.BMLoad(ctrA), t.Proc().Now())
-			}
+			runA(t)
 		})
 	}
 	for c := 4; c < 8; c++ {
-		m.Spawn(fmt.Sprintf("B%d", c), c, 2, func(t *core.Thread) {
+		m.Spawn(fmt.Sprintf("B%d", c), c, 2, func(t *core.Task) {
 			t.Compute(25 * (t.Core - 3))
-			t.BMFetchAdd(ctrB, 2)
-			t.ToneStore(barB)
-			t.ToneWait(barB, 1)
-			if t.Core == 4 {
-				fmt.Printf("program B: counter=%d, released at cycle %d\n",
-					t.BMLoad(ctrB), t.Proc().Now())
-			}
+			runB(t)
 		})
 	}
 	if err := m.Run(); err != nil {
@@ -53,10 +62,13 @@ func main() {
 		m.Tone.Stats.Completions)
 
 	// Protection: program B touching program A's counter faults.
-	m.Spawn("intruder", 4, 2, func(t *core.Thread) {
-		if _, err := t.TryBMLoad(ctrA); err != nil {
-			fmt.Printf("protection works: %v\n", err)
-		}
+	m.Spawn("intruder", 4, 2, func(t *core.Task) {
+		t.TryBMLoad(ctrA, func(_ uint64, err error) {
+			if err != nil {
+				fmt.Printf("protection works: %v\n", err)
+			}
+			t.Finish()
+		})
 	})
 	if err := m.Run(); err != nil {
 		panic(err)

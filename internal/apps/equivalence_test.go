@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"wisync/internal/config"
-	"wisync/internal/core"
 	"wisync/internal/recorded"
 )
 
@@ -15,8 +14,9 @@ import (
 // and every mem/net/MAC protocol counter must match
 // testdata/equivalence.tsv exactly, across seeds, architectures and
 // profile shapes. The file was recorded from the blocking loop nest the
-// continuation-form interpreter replaced. Regenerate it only after an
-// intended behaviour change:
+// continuation-form interpreter replaced, and the interpreter matched it
+// before the loop nest was deleted. Regenerate it only after an intended
+// behaviour change:
 //
 //	go test ./internal/apps -run Equivalence -update-golden
 
@@ -58,16 +58,6 @@ func equivProfiles() []Profile {
 // simulator mechanics (wheel routing, step reuse), not simulated behaviour.
 func plain(r Result) string { return recorded.Fields(r, "Profile", "Cfg", "Sched") }
 
-// face is the execution mode the rows are produced with: the task face is
-// checked against the file, which -update-golden records from the thread
-// face.
-func face() core.Exec {
-	if *updateGolden {
-		return core.ExecThread
-	}
-	return core.ExecTask
-}
-
 func TestRunExecEquivalence(t *testing.T) {
 	var rows []recorded.Row
 	for _, p := range equivProfiles() {
@@ -75,7 +65,7 @@ func TestRunExecEquivalence(t *testing.T) {
 			for _, seed := range []uint64{1, 42} {
 				cfg := config.New(kind, 16).WithSeed(seed)
 				id := fmt.Sprintf("%s/%v/16c/s%d", p.Name, kind, seed)
-				rows = append(rows, recorded.Row{ID: id, Value: plain(RunExec(cfg, p, face()))})
+				rows = append(rows, recorded.Row{ID: id, Value: plain(Run(cfg, p))})
 			}
 		}
 	}
@@ -96,7 +86,7 @@ func TestRunExecEquivalenceFig10Point(t *testing.T) {
 		for _, kind := range []config.Kind{config.Baseline, config.WiSyncNoT, config.WiSync} {
 			cfg := config.New(kind, 64)
 			id := fmt.Sprintf("%s/%v/64c/s1", name, kind)
-			rows = append(rows, recorded.Row{ID: id, Value: plain(RunExec(cfg, p, face()))})
+			rows = append(rows, recorded.Row{ID: id, Value: plain(Run(cfg, p))})
 		}
 	}
 	recorded.Check(t, equivPath, "64c", rows, *updateGolden)
@@ -107,7 +97,7 @@ func TestRunExecEquivalenceFig10Point(t *testing.T) {
 func TestTaskModeRecyclesSteps(t *testing.T) {
 	p, _ := ByName("streamcluster")
 	p.Iterations = 3
-	r := RunExec(config.New(config.Baseline, 16), p, core.ExecTask)
+	r := Run(config.New(config.Baseline, 16), p)
 	if r.Sched.StepPoolMisses == 0 {
 		t.Fatal("no step allocations recorded — counters not wired?")
 	}

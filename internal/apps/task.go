@@ -1,16 +1,24 @@
 package apps
 
-// This file is the continuation form of the profile interpreter: the
-// per-iteration compute / shared-read / barrier / lock / reduction loop
-// nest of Run as a core.Task state machine. Each task owns one appTask —
-// the loop counters are fields, the continuations are method values cached
-// at construction — so interpreting a profile allocates nothing per
-// operation beyond what the primitives themselves need. Simulated behavior
-// is bit-identical to the blocking interpreter: the per-thread random
-// stream is consumed in the same order and every suspension consumes its
-// event sequence number at the same execution point (pinned by the
-// equivalence suite in this package and the apps golden table in package
-// harness).
+// This file is the profile interpreter: Run's per-thread loop nest as a
+// core.Task state machine. In straight-line form each thread runs
+//
+//	compute(rand(0..ComputeMean/4)) // desynchronized start
+//	for each iteration:
+//		for each of max(BarriersPerIter, 1) phases:
+//			compute(jitter(ComputeMean/phases))
+//			read SharedReadsPerIter/phases random shared lines
+//			barrier (if the profile has one)
+//		LockOpsPerIter times: acquire a random lock, compute(HoldCycles),
+//			write its data line, release, compute(jitter(2*HoldCycles+20))
+//		ReductionsPerIter times: fetch&add the reducer, compute(rand(20..59))
+//
+// Each task owns one appTask — the loop counters are fields, the
+// continuations are method values cached at construction — so
+// interpreting a profile allocates nothing per operation beyond what the
+// primitives themselves need. The recorded-reference suite in this
+// package and the apps golden table in package harness pin its simulated
+// behaviour.
 
 import (
 	"wisync/internal/core"
@@ -18,8 +26,8 @@ import (
 	"wisync/internal/syncprims"
 )
 
-// appTask interprets one thread's share of a profile in continuation form.
-// The counters mirror the blocking loop nest: it (iterations completed), b
+// appTask interprets one thread's share of a profile. The counters follow
+// the loop nest above: it (iterations completed), b
 // (barrier phases completed this iteration), r (reads or reductions
 // completed this phase), l (lock operations completed this iteration).
 type appTask struct {
@@ -27,9 +35,9 @@ type appTask struct {
 	p   *Profile
 	rng *sim.Rand
 
-	barrier  syncprims.TaskBarrier // nil when the profile has no barriers
-	locks    []syncprims.TaskLock
-	red      syncprims.TaskReducer
+	barrier  syncprims.Barrier // nil when the profile has no barriers
+	locks    []syncprims.Lock
+	red      *syncprims.Reducer // nil when the profile has no reductions
 	shared   uint64
 	lockData []uint64
 
@@ -45,8 +53,8 @@ type appTask struct {
 	onReadFn, onAddFn func(uint64)
 }
 
-func newAppTask(t *core.Task, p *Profile, barrier syncprims.TaskBarrier,
-	locks []syncprims.TaskLock, red syncprims.TaskReducer, shared uint64,
+func newAppTask(t *core.Task, p *Profile, barrier syncprims.Barrier,
+	locks []syncprims.Lock, red *syncprims.Reducer, shared uint64,
 	lockData []uint64, seed uint64) *appTask {
 	t.M.Eng.StepPoolMiss()
 	a := &appTask{
@@ -106,7 +114,7 @@ func (a *appTask) phase() {
 func (a *appTask) sharedReads() {
 	if a.r == a.reads {
 		if a.barrier != nil {
-			a.barrier.WaitTask(a.t, a.afterBarrierFn)
+			a.barrier.Wait(a.t, a.afterBarrierFn)
 			return
 		}
 		a.afterBarrier()
@@ -133,7 +141,7 @@ func (a *appTask) lockOps() {
 		return
 	}
 	a.li = a.rng.Intn(a.numLocks)
-	a.locks[a.li%len(a.locks)].AcquireTask(a.t, a.afterAcquireFn)
+	a.locks[a.li%len(a.locks)].Acquire(a.t, a.afterAcquireFn)
 }
 
 func (a *appTask) afterAcquire() {
@@ -142,7 +150,7 @@ func (a *appTask) afterAcquire() {
 }
 
 func (a *appTask) afterWrite() {
-	a.locks[a.li%len(a.locks)].ReleaseTask(a.t, a.afterReleaseFn)
+	a.locks[a.li%len(a.locks)].Release(a.t, a.afterReleaseFn)
 }
 
 func (a *appTask) afterRelease() {

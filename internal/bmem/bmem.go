@@ -121,11 +121,9 @@ type BM struct {
 	// onToneInit is installed by the tone controller to observe Tone-bit
 	// messages.
 	onToneInit func(msg wireless.Msg, at sim.Time)
-	// sendFree recycles deferred-send continuations (see scheduleSend), so
-	// the steady-state RMW path allocates no closures. loadFree, spinFree,
-	// storeFree and rmwFree do the same for the async face's delivery,
-	// spin-loop, commit and grant-time-RMW continuations (async.go).
-	sendFree  []*sendCont
+	// loadFree, spinFree, storeFree and rmwFree recycle the load-delivery,
+	// spin-loop, commit and grant-time-RMW continuations (ops.go), so the
+	// steady-state operations allocate no closures.
 	loadFree  []*loadCont
 	spinFree  []*bmSpin
 	storeFree []*storeCont
@@ -140,39 +138,6 @@ type BM struct {
 	probing bool
 	// Stats is exported for harness reporting.
 	Stats Stats
-}
-
-// sendCont is a recycled "submit this message for a parked process"
-// continuation: the pipeline-read delay of an RMW is modeled by scheduling
-// one of these instead of sleeping the thread, so the thread parks exactly
-// once per operation.
-type sendCont struct {
-	b   *BM
-	p   *sim.Proc
-	msg wireless.Msg
-	fn  func() // cached method value of run
-}
-
-func (c *sendCont) run() {
-	b, p, msg := c.b, c.p, c.msg
-	c.p, c.msg = nil, wireless.Msg{}
-	b.sendFree = append(b.sendFree, c)
-	b.net.SendParked(p, msg)
-}
-
-// scheduleSend submits msg on behalf of p after d cycles. p must park in
-// the current event; the commit dispatches it directly.
-func (b *BM) scheduleSend(d sim.Time, p *sim.Proc, msg wireless.Msg) {
-	var c *sendCont
-	if n := len(b.sendFree); n > 0 {
-		c = b.sendFree[n-1]
-		b.sendFree = b.sendFree[:n-1]
-	} else {
-		c = &sendCont{b: b}
-		c.fn = c.run
-	}
-	c.p, c.msg = p, msg
-	b.eng.Schedule(d, c.fn)
 }
 
 // New creates the Broadcast Memory over the given Data channel.

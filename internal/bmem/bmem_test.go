@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 	"wisync/internal/wireless"
 )
 
@@ -27,30 +28,85 @@ func newBMEarly(t *testing.T, nodes int) (*sim.Engine, *BM) {
 	return eng, New(eng, net, nodes, p)
 }
 
+// ops builds script steps against one BM. A fault an operation reports
+// synchronously fails the test.
+type ops struct {
+	t *testing.T
+	b *BM
+}
+
+func (o ops) must(err error) {
+	if err != nil {
+		o.t.Fatal(err)
+	}
+}
+
+// alloc allocates a timed entry for pid from node into *addr.
+func (o ops) alloc(node int, pid uint16, addr *uint32) simtest.Op {
+	return func(next func()) {
+		o.must(o.b.Alloc(node, pid, false, func(a uint32) { *addr = a; next() }))
+	}
+}
+
+func (o ops) store(node int, pid uint16, addr *uint32, val uint64) simtest.Op {
+	return func(next func()) { o.must(o.b.Store(node, pid, *addr, val, next)) }
+}
+
+// load hands the value to got, which may be nil.
+func (o ops) load(node int, pid uint16, addr *uint32, got func(uint64)) simtest.Op {
+	return func(next func()) {
+		o.must(o.b.Load(node, pid, *addr, func(v uint64) {
+			if got != nil {
+				got(v)
+			}
+			next()
+		}))
+	}
+}
+
+// rmw runs one RMW attempt; got (which may be nil) receives its outcome.
+func (o ops) rmw(node int, pid uint16, addr *uint32, f func(uint64) (uint64, bool), got func(old uint64, ok bool)) simtest.Op {
+	return func(next func()) {
+		o.must(o.b.RMW(node, pid, *addr, f, func(old uint64, ok bool) {
+			if got != nil {
+				got(old, ok)
+			}
+			next()
+		}))
+	}
+}
+
+// rmwRetry repeats the RMW until it executes atomically (Figure 4(a)).
+func (o ops) rmwRetry(node int, pid uint16, addr *uint32, f func(uint64) (uint64, bool)) simtest.Op {
+	done := false
+	return simtest.Chain(simtest.Do(func() { done = false }), simtest.While(func() bool { return !done },
+		o.rmw(node, pid, addr, f, func(_ uint64, ok bool) { done = ok })))
+}
+
+func incr(v uint64) (uint64, bool) { return v + 1, true }
+
 func TestAllocLoadStore(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p0", func(p *sim.Proc) {
-		addr, err := b.Alloc(p, 0, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, pid := b.Allocated(addr); !ok || pid != 1 {
-			t.Fatalf("Allocated = %v/%d, want true/1", ok, pid)
-		}
-		if err := b.Store(p, 0, 1, addr, 99); err != nil {
-			t.Fatal(err)
-		}
-		if !b.WCB(0) {
-			t.Error("WCB clear after completed store")
-		}
-		v, err := b.Load(p, 0, 1, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 99 {
-			t.Errorf("Load = %d, want 99", v)
-		}
-	})
+	o := ops{t, b}
+	var addr uint32
+	simtest.Seq(eng, "p0",
+		o.alloc(0, 1, &addr),
+		simtest.Do(func() {
+			if ok, pid := b.Allocated(addr); !ok || pid != 1 {
+				t.Fatalf("Allocated = %v/%d, want true/1", ok, pid)
+			}
+		}),
+		o.store(0, 1, &addr, 99),
+		simtest.Do(func() {
+			if !b.WCB(0) {
+				t.Error("WCB clear after completed store")
+			}
+		}),
+		o.load(0, 1, &addr, func(v uint64) {
+			if v != 99 {
+				t.Errorf("Load = %d, want 99", v)
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +114,17 @@ func TestAllocLoadStore(t *testing.T) {
 
 func TestLoadLatencyIsBMRT(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p0", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		start := p.Now()
-		if _, err := b.Load(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
-		}
-		if d := p.Now() - start; d != b.Params().RT {
-			t.Errorf("load latency = %d, want %d", d, b.Params().RT)
-		}
-	})
+	o := ops{t, b}
+	var addr uint32
+	var start sim.Time
+	simtest.Seq(eng, "p0",
+		o.alloc(0, 1, &addr),
+		simtest.Do(func() { start = eng.Now() }),
+		o.load(0, 1, &addr, func(uint64) {
+			if d := eng.Now() - start; d != b.Params().RT {
+				t.Errorf("load latency = %d, want %d", d, b.Params().RT)
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,31 +132,27 @@ func TestLoadLatencyIsBMRT(t *testing.T) {
 
 func TestStoreVisibleToAllNodesAtCommit(t *testing.T) {
 	eng, b := newBM(t, 8)
+	o := ops{t, b}
 	var addr uint32
 	ready := false
-	eng.Go("writer", func(p *sim.Proc) {
-		a, _ := b.Alloc(p, 0, 1, false)
-		addr = a
-		ready = true
-		p.Sleep(10)
-		b.Store(p, 0, 1, addr, 1234)
-	})
+	simtest.Seq(eng, "writer",
+		o.alloc(0, 1, &addr),
+		simtest.Do(func() { ready = true }),
+		simtest.Sleep(eng, 10),
+		o.store(0, 1, &addr, 1234))
 	for n := 1; n < 8; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("r%d", n), func(p *sim.Proc) {
-			p.Sleep(200) // well after commit
-			if !ready {
-				t.Error("alloc did not complete")
-				return
-			}
-			v, err := b.Load(p, n, 1, addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != 1234 {
-				t.Errorf("node %d sees %d, want 1234", n, v)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("r%d", n),
+			simtest.Sleep(eng, 200), // well after commit
+			simtest.Do(func() {
+				if !ready {
+					t.Fatal("alloc did not complete")
+				}
+			}),
+			o.load(n, 1, &addr, func(v uint64) {
+				if v != 1234 {
+					t.Errorf("node %d sees %d, want 1234", n, v)
+				}
+			}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -108,9 +161,10 @@ func TestStoreVisibleToAllNodesAtCommit(t *testing.T) {
 
 func TestProtectionViolation(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		_, err := b.Load(p, 1, 2, addr) // PID 2 touching PID 1's entry
+	o := ops{t, b}
+	var addr uint32
+	simtest.Seq(eng, "p", o.alloc(0, 1, &addr), simtest.Do(func() {
+		err := b.Load(1, 2, addr, func(uint64) { t.Error("faulting load completed") }) // PID 2 touching PID 1's entry
 		var pe *ProtectionError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want ProtectionError", err)
@@ -118,48 +172,43 @@ func TestProtectionViolation(t *testing.T) {
 		if pe.PID != 2 || pe.Tag != 1 {
 			t.Errorf("ProtectionError = %+v", pe)
 		}
-		if err := b.Store(p, 1, 2, addr, 5); err == nil {
+		if err := b.Store(1, 2, addr, 5, func() {}); err == nil {
 			t.Error("store with wrong PID succeeded")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnallocatedAndOutOfRange(t *testing.T) {
-	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		var ae *AddrError
-		_, err := b.Load(p, 0, 1, 7)
-		if !errors.As(err, &ae) {
-			t.Fatalf("unallocated load err = %v", err)
-		}
-		_, err = b.Load(p, 0, 1, 99999)
-		if !errors.As(err, &ae) {
-			t.Fatalf("out-of-range load err = %v", err)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+	_, b := newBM(t, 4)
+	var ae *AddrError
+	if err := b.Load(0, 1, 7, func(uint64) {}); !errors.As(err, &ae) {
+		t.Fatalf("unallocated load err = %v", err)
+	}
+	if err := b.Load(0, 1, 99999, func(uint64) {}); !errors.As(err, &ae) {
+		t.Fatalf("out-of-range load err = %v", err)
 	}
 }
 
 func TestRMWFetchAddNoContention(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		old, ok, err := b.RMW(p, 0, 1, addr, func(v uint64) (uint64, bool) { return v + 5, true })
-		if err != nil || !ok || old != 0 {
-			t.Fatalf("RMW = (%d, %v, %v)", old, ok, err)
-		}
-		if b.Peek(addr) != 5 {
-			t.Errorf("value = %d, want 5", b.Peek(addr))
-		}
-		if b.AFB(0) {
-			t.Error("AFB set after clean RMW")
-		}
-	})
+	o := ops{t, b}
+	var addr uint32
+	simtest.Seq(eng, "p",
+		o.alloc(0, 1, &addr),
+		o.rmw(0, 1, &addr, func(v uint64) (uint64, bool) { return v + 5, true }, func(old uint64, ok bool) {
+			if !ok || old != 0 {
+				t.Fatalf("RMW = (%d, %v)", old, ok)
+			}
+			if b.Peek(addr) != 5 {
+				t.Errorf("value = %d, want 5", b.Peek(addr))
+			}
+			if b.AFB(0) {
+				t.Error("AFB set after clean RMW")
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,39 +219,32 @@ func TestRMWConflictSetsAFBAndWithdraws(t *testing.T) {
 	// commits first (node 1's transfer is queued behind it), so node 1's
 	// atomicity fails: AFB set, nothing broadcast by node 1.
 	eng, b := newBMEarly(t, 4)
+	o := ops{t, b}
 	var addr uint32
-	eng.Go("setup", func(p *sim.Proc) {
-		addr, _ = b.Alloc(p, 0, 1, false)
-	})
-	eng.Go("store0", func(p *sim.Proc) {
-		p.Sleep(100)
-		b.Store(p, 0, 1, addr, 7)
-	})
-	eng.Go("rmw1", func(p *sim.Proc) {
-		p.Sleep(101) // join while node 0's store occupies the channel
-		old, ok, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Error("RMW reported success despite conflicting commit")
-		}
-		if !b.AFB(1) {
-			t.Error("AFB clear after atomicity failure")
-		}
-		_ = old
+	simtest.Seq(eng, "setup", o.alloc(0, 1, &addr))
+	simtest.Seq(eng, "store0", simtest.Sleep(eng, 100), o.store(0, 1, &addr, 7))
+	simtest.Seq(eng, "rmw1",
+		simtest.Sleep(eng, 101), // join while node 0's store occupies the channel
+		o.rmw(1, 1, &addr, incr, func(_ uint64, ok bool) {
+			if ok {
+				t.Error("RMW reported success despite conflicting commit")
+			}
+			if !b.AFB(1) {
+				t.Error("AFB clear after atomicity failure")
+			}
+		}),
 		// Figure 4(a): software retries.
-		old2, ok2, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil || !ok2 {
-			t.Fatalf("retry RMW = (%v, %v)", ok2, err)
-		}
-		if old2 != 7 {
-			t.Errorf("retry read %d, want 7", old2)
-		}
-		if b.Peek(addr) != 8 {
-			t.Errorf("final value = %d, want 8", b.Peek(addr))
-		}
-	})
+		o.rmw(1, 1, &addr, incr, func(old2 uint64, ok2 bool) {
+			if !ok2 {
+				t.Fatal("retry RMW failed")
+			}
+			if old2 != 7 {
+				t.Errorf("retry read %d, want 7", old2)
+			}
+			if b.Peek(addr) != 8 {
+				t.Errorf("final value = %d, want 8", b.Peek(addr))
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,30 +257,18 @@ func TestConcurrentFetchAddNoLostUpdates(t *testing.T) {
 	// The full software retry protocol: every increment must land exactly
 	// once despite collisions and AFB aborts.
 	eng, b := newBM(t, 64)
-	var addr uint32
-	a, err := b.AllocBare(1, false)
+	o := ops{t, b}
+	addr, err := b.AllocBare(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr = a
 	const perNode = 10
 	for n := 0; n < 64; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
-			for i := 0; i < perNode; i++ {
-				for {
-					_, ok, err := b.RMW(p, n, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if ok {
-						break
-					}
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(50)))
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", n), simtest.Repeat(perNode, func(int) simtest.Op {
+			return simtest.Chain(o.rmwRetry(n, 1, &addr, incr), func(next func()) {
+				eng.SleepThen(sim.Time(eng.Rand().Intn(50)), next)
+			})
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -250,21 +280,24 @@ func TestConcurrentFetchAddNoLostUpdates(t *testing.T) {
 
 func TestCASNoBroadcastOnCompareFailure(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		b.Store(p, 0, 1, addr, 3)
-		msgsBefore := b.net.Stats.Messages
-		old, ok, err := b.RMW(p, 0, 1, addr, func(v uint64) (uint64, bool) { return 9, v == 42 })
-		if err != nil || !ok || old != 3 {
-			t.Fatalf("CAS = (%d,%v,%v)", old, ok, err)
-		}
-		if b.net.Stats.Messages != msgsBefore {
-			t.Error("failed CAS consumed a wireless message")
-		}
-		if b.Peek(addr) != 3 {
-			t.Errorf("value changed to %d on failed CAS", b.Peek(addr))
-		}
-	})
+	o := ops{t, b}
+	var addr uint32
+	var msgsBefore uint64
+	simtest.Seq(eng, "p",
+		o.alloc(0, 1, &addr),
+		o.store(0, 1, &addr, 3),
+		simtest.Do(func() { msgsBefore = b.net.Stats.Messages }),
+		o.rmw(0, 1, &addr, func(v uint64) (uint64, bool) { return 9, v == 42 }, func(old uint64, ok bool) {
+			if !ok || old != 3 {
+				t.Fatalf("CAS = (%d,%v)", old, ok)
+			}
+			if b.net.Stats.Messages != msgsBefore {
+				t.Error("failed CAS consumed a wireless message")
+			}
+			if b.Peek(addr) != 3 {
+				t.Errorf("value changed to %d on failed CAS", b.Peek(addr))
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,27 +305,29 @@ func TestCASNoBroadcastOnCompareFailure(t *testing.T) {
 
 func TestBulkStoreLoad(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, err := b.AllocContiguous(p, 0, 1, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := p.Now()
-		if err := b.BulkStore(p, 0, 1, addr, [4]uint64{10, 20, 30, 40}); err != nil {
-			t.Fatal(err)
-		}
-		if d := p.Now() - start; d != 15 {
-			t.Errorf("bulk store took %d cycles, want 15", d)
-		}
-		vals, err := b.BulkLoad(p, 1, 1, addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := [4]uint64{10, 20, 30, 40}
-		if vals != want {
-			t.Errorf("BulkLoad = %v, want %v", vals, want)
-		}
-	})
+	o := ops{t, b}
+	var addr uint32
+	var start sim.Time
+	want := [4]uint64{10, 20, 30, 40}
+	simtest.Seq(eng, "p",
+		func(next func()) {
+			o.must(b.AllocContiguous(0, 1, 4, func(a uint32) { addr = a; next() }))
+		},
+		simtest.Do(func() { start = eng.Now() }),
+		func(next func()) { o.must(b.BulkStore(0, 1, addr, want, next)) },
+		simtest.Do(func() {
+			if d := eng.Now() - start; d != 15 {
+				t.Errorf("bulk store took %d cycles, want 15", d)
+			}
+		}),
+		func(next func()) {
+			o.must(b.BulkLoad(1, 1, addr, func(vals [4]uint64) {
+				if vals != want {
+					t.Errorf("BulkLoad = %v, want %v", vals, want)
+				}
+				next()
+			}))
+		})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,24 +337,20 @@ func TestBulkConflictsPendingRMW(t *testing.T) {
 	// A bulk store covering the pending RMW's address must abort it
 	// (early-read protocol).
 	eng, b := newBMEarly(t, 4)
+	o := ops{t, b}
 	base, err := b.AllocBareContiguous(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Go("bulk", func(p *sim.Proc) {
-		p.Sleep(100)
-		b.BulkStore(p, 0, 1, base, [4]uint64{1, 2, 3, 4})
+	target := base + 2
+	simtest.Seq(eng, "bulk", simtest.Sleep(eng, 100), func(next func()) {
+		o.must(b.BulkStore(0, 1, base, [4]uint64{1, 2, 3, 4}, next))
 	})
-	eng.Go("rmw", func(p *sim.Proc) {
-		p.Sleep(101)
-		_, ok, err := b.RMW(p, 1, 1, base+2, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
+	simtest.Seq(eng, "rmw", simtest.Sleep(eng, 101), o.rmw(1, 1, &target, incr, func(_ uint64, ok bool) {
 		if ok {
 			t.Error("RMW survived a bulk overwrite of its address")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,19 +358,19 @@ func TestBulkConflictsPendingRMW(t *testing.T) {
 
 func TestSpinUntilReleasedByRemoteStore(t *testing.T) {
 	eng, b := newBM(t, 4)
+	o := ops{t, b}
 	addr, _ := b.AllocBare(1, false)
 	var woke sim.Time
-	eng.Go("spinner", func(p *sim.Proc) {
-		v, err := b.SpinUntil(p, 1, 1, addr, func(v uint64) bool { return v == 5 })
-		if err != nil || v != 5 {
-			t.Errorf("SpinUntil = (%d, %v)", v, err)
-		}
-		woke = p.Now()
+	simtest.Seq(eng, "spinner", func(next func()) {
+		o.must(b.SpinUntil(1, 1, addr, func(v uint64) bool { return v == 5 }, func(v uint64) {
+			if v != 5 {
+				t.Errorf("SpinUntil = %d", v)
+			}
+			woke = eng.Now()
+			next()
+		}))
 	})
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(500)
-		b.Store(p, 0, 1, addr, 5)
-	})
+	simtest.Seq(eng, "writer", simtest.Sleep(eng, 500), o.store(0, 1, &addr, 5))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -368,26 +399,78 @@ func TestAllocUntilFullThenSpill(t *testing.T) {
 	}
 }
 
+// TestAllocNRollsBackOnFull covers the multi-entry allocation: entries
+// are broadcast one after another, and when the BM fills up part-way the
+// entries already grabbed are freed (one broadcast each) before the error
+// is delivered.
+func TestAllocNRollsBackOnFull(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := wireless.New(eng, 2, wireless.DefaultParams())
+	p := DefaultParams()
+	p.Entries = 4
+	b := New(eng, net, 2, p)
+	var first []uint32
+	var second error
+	simtest.Seq(eng, "p",
+		func(next func()) {
+			b.AllocN(0, 1, 3, func(addrs []uint32, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				first = addrs
+				next()
+			})
+		},
+		func(next func()) {
+			b.AllocN(0, 1, 3, func(addrs []uint32, err error) {
+				if addrs != nil {
+					t.Errorf("failed AllocN returned %v", addrs)
+				}
+				second = err
+				next()
+			})
+		})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 3 || first[0] == first[1] || first[1] == first[2] {
+		t.Errorf("AllocN(3) = %v, want 3 distinct entries", first)
+	}
+	if !errors.Is(second, ErrFull) {
+		t.Errorf("AllocN past capacity: err = %v, want ErrFull", second)
+	}
+	if got := b.FreeEntries(); got != 1 {
+		t.Errorf("FreeEntries = %d after rollback, want 1", got)
+	}
+	if b.Stats.Allocs != 4 || b.Stats.Frees != 1 || net.Stats.Messages != 5 {
+		t.Errorf("allocs/frees/messages = %d/%d/%d, want 4/1/5", b.Stats.Allocs, b.Stats.Frees, net.Stats.Messages)
+	}
+}
+
 func TestFreeMakesEntryReusable(t *testing.T) {
 	eng, b := newBM(t, 4)
-	eng.Go("p", func(p *sim.Proc) {
-		addr, _ := b.Alloc(p, 0, 1, false)
-		free0 := b.FreeEntries()
-		if err := b.Free(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
-		}
-		if b.FreeEntries() != free0+1 {
-			t.Error("Free did not release the entry")
-		}
+	o := ops{t, b}
+	var addr, addr2 uint32
+	var free0 int
+	simtest.Seq(eng, "p",
+		o.alloc(0, 1, &addr),
+		simtest.Do(func() { free0 = b.FreeEntries() }),
+		func(next func()) { o.must(b.Free(0, 1, addr, next)) },
+		simtest.Do(func() {
+			if b.FreeEntries() != free0+1 {
+				t.Error("Free did not release the entry")
+			}
+		}),
 		// Another PID can now claim the same address.
-		addr2, _ := b.Alloc(p, 1, 2, false)
-		if addr2 != addr {
-			t.Errorf("expected address reuse, got %d then %d", addr, addr2)
-		}
-		if _, err := b.Load(p, 0, 1, addr); err == nil {
-			t.Error("old owner can still access reallocated entry")
-		}
-	})
+		o.alloc(1, 2, &addr2),
+		simtest.Do(func() {
+			if addr2 != addr {
+				t.Errorf("expected address reuse, got %d then %d", addr, addr2)
+			}
+			if err := b.Load(0, 1, addr, func(uint64) {}); err == nil {
+				t.Error("old owner can still access reallocated entry")
+			}
+		}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,24 +478,16 @@ func TestFreeMakesEntryReusable(t *testing.T) {
 
 func TestConcurrentAllocsDisjoint(t *testing.T) {
 	eng, b := newBM(t, 16)
-	addrs := make(chan uint32, 16)
+	o := ops{t, b}
+	addrs := make([]uint32, 16)
 	for n := 0; n < 16; n++ {
-		n := n
-		eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
-			a, err := b.Alloc(p, n, uint16(n+1), false)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			addrs <- a
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", n), o.alloc(n, uint16(n+1), &addrs[n]))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	close(addrs)
 	seen := map[uint32]bool{}
-	for a := range addrs {
+	for _, a := range addrs {
 		if seen[a] {
 			t.Fatalf("address %d allocated twice", a)
 		}
@@ -425,34 +500,26 @@ func TestConcurrentAllocsDisjoint(t *testing.T) {
 
 func TestAbortPendingRMWOnContextSwitch(t *testing.T) {
 	eng, b := newBMEarly(t, 4)
+	o := ops{t, b}
 	addr, _ := b.AllocBare(1, false)
-	eng.Go("blocker", func(p *sim.Proc) {
-		// Hold the channel so the victim's RMW stays pending.
-		b.Store(p, 0, 1, addr, 1)
-		b.Store(p, 0, 1, addr, 2)
-	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		_, ok, err := b.RMW(p, 1, 1, addr, func(v uint64) (uint64, bool) { return v + 1, true })
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Hold the channel so the victim's RMW stays pending.
+	simtest.Seq(eng, "blocker", o.store(0, 1, &addr, 1), o.store(0, 1, &addr, 2))
+	simtest.Seq(eng, "victim", simtest.Sleep(eng, 1), o.rmw(1, 1, &addr, incr, func(_ uint64, ok bool) {
 		if ok {
 			t.Error("RMW succeeded despite OS abort")
 		}
 		if !b.AFB(1) {
 			t.Error("AFB clear after OS abort")
 		}
-	})
-	eng.Go("os", func(p *sim.Proc) {
-		p.Sleep(4) // while the victim's transfer is queued
+	}))
+	simtest.Seq(eng, "os", simtest.Sleep(eng, 4), simtest.Do(func() { // while the victim's transfer is queued
 		if !b.AbortPendingRMW(1) {
 			t.Error("AbortPendingRMW found nothing pending")
 		}
 		if b.AbortPendingRMW(1) {
 			t.Error("second abort reported success")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,46 +532,38 @@ func TestReplicaConsistencyRandomized(t *testing.T) {
 		eng := sim.NewEngine(uint64(50 + trial))
 		net := wireless.New(eng, 16, wireless.DefaultParams())
 		b := New(eng, net, 16, DefaultParams())
+		o := ops{t, b}
 		var addrs []uint32
 		for i := 0; i < 6; i++ {
 			a, _ := b.AllocBare(1, false)
 			addrs = append(addrs, a)
 		}
 		for n := 0; n < 16; n++ {
-			n := n
-			eng.Go(fmt.Sprintf("n%d", n), func(p *sim.Proc) {
-				rng := sim.NewRand(uint64(n*31 + trial))
-				for i := 0; i < 30; i++ {
-					a := addrs[rng.Intn(len(addrs))]
-					if rng.Intn(2) == 0 {
-						b.Store(p, n, 1, a, rng.Uint64()%100)
-					} else {
-						for {
-							_, ok, _ := b.RMW(p, n, 1, a, func(v uint64) (uint64, bool) { return v + 1, true })
-							if ok {
-								break
-							}
-						}
-					}
-					p.Sleep(sim.Time(rng.Intn(20)))
+			rng := sim.NewRand(uint64(n*31 + trial))
+			simtest.Seq(eng, fmt.Sprintf("n%d", n), simtest.Repeat(30, func(int) simtest.Op {
+				a := addrs[rng.Intn(len(addrs))]
+				var op simtest.Op
+				if rng.Intn(2) == 0 {
+					op = o.store(n, 1, &a, rng.Uint64()%100)
+				} else {
+					op = o.rmwRetry(n, 1, &a, incr)
 				}
-			})
+				return simtest.Chain(op, simtest.Sleep(eng, sim.Time(rng.Intn(20))))
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
 		// One logical replica: verify all reads agree via Load from
 		// every node.
-		for _, a := range addrs {
-			want := b.Peek(a)
+		for i := range addrs {
+			want := b.Peek(addrs[i])
 			for n := 0; n < 16; n++ {
-				n, a, want := n, a, want
-				eng.Go("check", func(p *sim.Proc) {
-					v, err := b.Load(p, n, 1, a)
-					if err != nil || v != want {
-						t.Errorf("node %d: %d != %d (%v)", n, v, want, err)
+				simtest.Seq(eng, "check", o.load(n, 1, &addrs[i], func(v uint64) {
+					if v != want {
+						t.Errorf("node %d: %d != %d", n, v, want)
 					}
-				})
+				}))
 			}
 		}
 		if err := eng.Run(); err != nil {

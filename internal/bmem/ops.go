@@ -5,54 +5,126 @@ import (
 	"wisync/internal/wireless"
 )
 
-// Load reads the 64-bit entry at addr from node's local replica.
-func (b *BM) Load(p *sim.Proc, node int, pid uint16, addr uint32) (uint64, error) {
-	if err := b.check(node, pid, addr); err != nil {
-		return 0, err
-	}
-	b.Stats.Loads++
-	p.Sleep(b.p.RT)
-	return b.entries[addr].val, nil
+// This file holds the Broadcast Memory's operations. Each takes a
+// completion callback that runs at the cycle the operation completes.
+// Protection and addressing faults are reported synchronously, before any
+// simulated time elapses; a fault that develops mid-operation — an entry
+// freed under a spinning task — is a death of the simulated program and
+// panics.
+
+// loadCont is a recycled load-delivery continuation: the "sleep the local
+// round trip, then hand over the replica's value" step of Load, which
+// would otherwise capture addr and then in a fresh closure on the
+// spin-probe hot path. The value is sampled at fire time.
+type loadCont struct {
+	b    *BM
+	addr uint32
+	then func(uint64)
+	fn   func() // cached method value of run
 }
 
-// Store broadcasts val to addr in every replica. It blocks until the write
+func (b *BM) newLoadCont(addr uint32, then func(uint64)) *loadCont {
+	var c *loadCont
+	if n := len(b.loadFree); n > 0 {
+		c = b.loadFree[n-1]
+		b.loadFree = b.loadFree[:n-1]
+		b.eng.StepPoolHit()
+	} else {
+		c = &loadCont{b: b}
+		c.fn = c.run
+		b.eng.StepPoolMiss()
+	}
+	c.addr, c.then = addr, then
+	return c
+}
+
+func (c *loadCont) run() {
+	b, addr, then := c.b, c.addr, c.then
+	c.then = nil
+	b.loadFree = append(b.loadFree, c)
+	then(b.entries[addr].val)
+}
+
+// Load reads the 64-bit entry at addr from node's local replica; then
+// receives the value after the BM round trip.
+func (b *BM) Load(node int, pid uint16, addr uint32, then func(uint64)) error {
+	if err := b.check(node, pid, addr); err != nil {
+		return err
+	}
+	b.Stats.Loads++
+	b.eng.LocalSleepThen(node, b.p.RT, b.newLoadCont(addr, then).fn)
+	return nil
+}
+
+// storeCont is a recycled store-commit continuation: Store's "set the WCB,
+// then run the user continuation" completion.
+type storeCont struct {
+	b    *BM
+	node int
+	then func()
+	fn   func(bool) // cached method value of run
+}
+
+func (c *storeCont) run(committed bool) {
+	b, node, then := c.b, c.node, c.then
+	c.then = nil
+	b.storeFree = append(b.storeFree, c)
+	b.wcb[node] = committed
+	then()
+}
+
+// Store broadcasts val to addr in every replica; then runs when the write
 // commits (all replicas updated), at which point WCB is set. The MAC
 // retries through collisions; on the ideal channel without faults a store
-// cannot fail, only take longer. Under a lossy channel or a fault plan
-// the broadcast can fail permanently (retry budget exhausted, transceiver
+// cannot fail, only take longer. Under a lossy channel or a fault plan the
+// broadcast can fail permanently (retry budget exhausted, transceiver
 // outage): WCB then honestly reads false — software that needs the write
 // checks WCB and reissues.
-func (b *BM) Store(p *sim.Proc, node int, pid uint16, addr uint32, val uint64) error {
+func (b *BM) Store(node int, pid uint16, addr uint32, val uint64, then func()) error {
 	if err := b.check(node, pid, addr); err != nil {
 		return err
 	}
 	b.Stats.Stores++
 	b.wcb[node] = false
-	committed := b.net.Send(p, wireless.Msg{Src: node, Addr: addr, Val: val, Kind: wireless.KindStore, PID: pid}, nil)
-	b.wcb[node] = committed
+	var c *storeCont
+	if n := len(b.storeFree); n > 0 {
+		c = b.storeFree[n-1]
+		b.storeFree = b.storeFree[:n-1]
+		b.eng.StepPoolHit()
+	} else {
+		c = &storeCont{b: b}
+		c.fn = c.run
+		b.eng.StepPoolMiss()
+	}
+	c.node, c.then = node, then
+	b.net.Send(wireless.Msg{Src: node, Addr: addr, Val: val, Kind: wireless.KindStore, PID: pid}, nil, c.fn)
 	return nil
 }
 
-// BulkLoad reads four consecutive entries starting at addr (Section 3.2).
-// A single BM access burst is charged: RT plus one cycle per extra word.
-func (b *BM) BulkLoad(p *sim.Proc, node int, pid uint16, addr uint32) ([4]uint64, error) {
-	var out [4]uint64
+// BulkLoad reads four consecutive entries starting at addr (Section 3.2);
+// then receives them. A single BM access burst is charged: RT plus one
+// cycle per extra word.
+func (b *BM) BulkLoad(node int, pid uint16, addr uint32, then func([4]uint64)) error {
 	for i := uint32(0); i < 4; i++ {
 		if err := b.check(node, pid, addr+i); err != nil {
-			return out, err
+			return err
 		}
 	}
 	b.Stats.Loads += 4
-	p.Sleep(b.p.RT + 3)
-	for i := uint32(0); i < 4; i++ {
-		out[i] = b.entries[addr+i].val
-	}
-	return out, nil
+	b.eng.LocalSleepThen(node, b.p.RT+3, func() {
+		var out [4]uint64
+		for i := uint32(0); i < 4; i++ {
+			out[i] = b.entries[addr+i].val
+		}
+		then(out)
+	})
+	return nil
 }
 
 // BulkStore broadcasts four words to consecutive addresses starting at addr
-// in one 15-cycle wireless message (Section 4.1).
-func (b *BM) BulkStore(p *sim.Proc, node int, pid uint16, addr uint32, vals [4]uint64) error {
+// in one 15-cycle wireless message (Section 4.1); then runs at the commit,
+// with WCB set as for Store.
+func (b *BM) BulkStore(node int, pid uint16, addr uint32, vals [4]uint64, then func()) error {
 	for i := uint32(0); i < 4; i++ {
 		if err := b.check(node, pid, addr+i); err != nil {
 			return err
@@ -62,8 +134,10 @@ func (b *BM) BulkStore(p *sim.Proc, node int, pid uint16, addr uint32, vals [4]u
 	b.wcb[node] = false
 	m := wireless.Msg{Src: node, Addr: addr, Val: vals[0], Kind: wireless.KindBulk, PID: pid}
 	copy(m.BulkVals[:], vals[1:])
-	committed := b.net.Send(p, m, nil)
-	b.wcb[node] = committed
+	b.net.Send(m, nil, func(committed bool) {
+		b.wcb[node] = committed
+		then()
+	})
 	return nil
 }
 
@@ -71,17 +145,17 @@ func (b *BM) BulkStore(p *sim.Proc, node int, pid uint16, addr uint32, vals [4]u
 // local replica, apply f in the pipeline, and broadcast the result. f
 // returns the new value and whether to perform the write; a CAS whose
 // comparison fails returns false and broadcasts nothing (the failure is
-// decided atomically on the read). RMW returns the value read and ok=true
-// if the instruction executed atomically (AFB clear). ok=false means a
-// remote commit to addr landed inside the atomicity window: AFB is set,
-// nothing was written, and software must retry (Figure 4(a)).
-func (b *BM) RMW(p *sim.Proc, node int, pid uint16, addr uint32, f func(uint64) (uint64, bool)) (uint64, bool, error) {
+// decided atomically on the read). then receives the value read and
+// ok=true if the instruction executed atomically (AFB clear). ok=false
+// means a remote commit to addr landed inside the atomicity window: AFB is
+// set, nothing was written, and software must retry (Figure 4(a)).
+func (b *BM) RMW(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) error {
 	if err := b.check(node, pid, addr); err != nil {
-		return 0, false, err
+		return err
 	}
 	b.Stats.RMWs++
 	if !b.p.RMWEarlyRead {
-		return b.rmwAtGrant(p, node, pid, addr, f)
+		return b.rmwAtGrant(node, pid, addr, f, then)
 	}
 	b.wcb[node] = false
 	b.afb[node] = false
@@ -89,91 +163,186 @@ func (b *BM) RMW(p *sim.Proc, node int, pid uint16, addr uint32, f func(uint64) 
 	*pr = pendingRMW{active: true, addr: addr}
 
 	// Local read: the atomicity window opens here.
-	p.Sleep(b.p.RT)
-	old := b.entries[addr].val
+	b.eng.LocalSleepThen(node, b.p.RT, func() {
+		old := b.entries[addr].val
+		if pr.aborted {
+			// A conflicting commit landed during the local read.
+			b.wcb[node] = true
+			then(old, false)
+			return
+		}
+		newVal, doWrite := f(old)
+		if !doWrite {
+			pr.active = false
+			b.wcb[node] = true
+			then(old, true)
+			return
+		}
+		b.net.Send(wireless.Msg{Src: node, Addr: addr, Val: newVal, Kind: wireless.KindRMW, PID: pid}, &pr.tok,
+			func(committed bool) {
+				b.wcb[node] = true
+				if !committed {
+					// Withdrawn: AFB was set by the conflicting commit.
+					then(old, false)
+					return
+				}
+				pr.active = false
+				then(old, true)
+			})
+	})
+	return nil
+}
 
-	if pr.aborted {
-		// A conflicting commit landed during the local read.
-		b.wcb[node] = true
-		return old, false, nil
+// rmwGrantCont is a recycled grant-time RMW chain: the pipeline-read
+// delay, the channel submission with the old-value-capturing Op wrapper,
+// and the commit completion of rmwAtGrant as one pooled struct. It
+// stays out of the pool from issue to commit — concurrent RMWs from other
+// nodes draw their own structs — and its msg carries the cached Op method
+// value, so a steady-state RMW storm allocates nothing.
+type rmwGrantCont struct {
+	b    *BM
+	node int
+	old  uint64
+	f    func(uint64) (uint64, bool)
+	then func(old uint64, ok bool)
+	msg  wireless.Msg
+	// The operation completed iff it was applied at a commit (ran) or
+	// denied at a grant-time probe (denied). Neither happens when the
+	// broadcast fails permanently — retry budget exhausted or a
+	// fault-injected outage — and old would be stale; software must
+	// retry, exactly like an AFB failure.
+	ran    bool
+	denied bool
+
+	submitFn func()
+	doneFn   func(bool)
+}
+
+func (c *rmwGrantCont) op(cur uint64) (uint64, bool) {
+	c.old = cur
+	nv, do := c.f(cur)
+	if c.b.probing {
+		// Grant-time probe: a denied write (failed compare) is a
+		// completed instruction — the decision is atomic on the
+		// committed value the probe observed.
+		c.denied = !do
+	} else {
+		c.ran = true // commit application: the write happened chip-wide
 	}
-	newVal, doWrite := f(old)
-	if !doWrite {
-		pr.active = false
-		b.wcb[node] = true
-		return old, true, nil
-	}
-	committed := b.net.Send(p, wireless.Msg{Src: node, Addr: addr, Val: newVal, Kind: wireless.KindRMW, PID: pid}, &pr.tok)
-	b.wcb[node] = true
-	if !committed {
-		// Withdrawn: AFB was set by the conflicting commit.
-		return old, false, nil
-	}
-	pr.active = false
-	return old, true, nil
+	return nv, do
+}
+
+func (c *rmwGrantCont) submit() { c.b.net.Send(c.msg, nil, c.doneFn) }
+
+func (c *rmwGrantCont) done(bool) {
+	b, node, old, then := c.b, c.node, c.old, c.then
+	ok := c.ran || c.denied
+	c.f, c.then = nil, nil
+	b.rmwFree = append(b.rmwFree, c)
+	b.wcb[node] = ok
+	then(old, ok)
 }
 
 // rmwAtGrant is the default RMW path: the operation rides in the message
 // and every replica applies it to the committed value at commit time. The
-// returned old value is the committed value the operation observed;
-// atomicity cannot fail (ok is always true).
-//
-// The local BM read and the channel submission run as engine-scheduled
-// continuations: the thread parks exactly once for the whole RMW and is
-// dispatched directly by the commit (or grant-abandon) event, instead of
-// waking after the pipeline read only to park again on the channel. The
-// scheduled submission lands at the same (time, priority, sequence)
-// position as the blocking read's wake-up did, so results are
-// bit-identical to the blocking form.
-func (b *BM) rmwAtGrant(p *sim.Proc, node int, pid uint16, addr uint32, f func(uint64) (uint64, bool)) (uint64, bool, error) {
+// old value delivered to then is the committed value the operation
+// observed; atomicity cannot fail, only the broadcast.
+func (b *BM) rmwAtGrant(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool), then func(old uint64, ok bool)) error {
 	b.wcb[node] = false
 	b.afb[node] = false
-	var old uint64
-	var ran, denied bool
-	op := func(cur uint64) (uint64, bool) {
-		old = cur
-		nv, do := f(cur)
-		if b.probing {
-			// Grant-time probe: a denied write (failed compare) is a
-			// completed instruction — the decision is atomic on the
-			// committed value the probe observed.
-			denied = !do
-		} else {
-			ran = true // commit application: the write happened chip-wide
-		}
-		return nv, do
+	var c *rmwGrantCont
+	if n := len(b.rmwFree); n > 0 {
+		c = b.rmwFree[n-1]
+		b.rmwFree = b.rmwFree[:n-1]
+		b.eng.StepPoolHit()
+	} else {
+		c = &rmwGrantCont{b: b}
+		c.submitFn = c.submit
+		c.doneFn = c.done
+		c.msg.Op = c.op
+		b.eng.StepPoolMiss()
 	}
+	c.node, c.f, c.then = node, f, then
+	c.ran, c.denied = false, false
+	c.msg.Src, c.msg.Addr, c.msg.Kind, c.msg.PID = node, addr, wireless.KindRMW, pid
 	// The instruction still reads the local BM into the pipeline (RT),
 	// then contends for the channel.
-	b.scheduleSend(b.p.RT, p, wireless.Msg{Src: node, Addr: addr, Kind: wireless.KindRMW, PID: pid, Op: op})
-	p.Park("bm rmw")
-	// The operation completed iff it was applied at a commit or denied at
-	// a probe. Neither happened when the broadcast failed permanently —
-	// retry budget exhausted or a fault-injected outage — and old would be
-	// stale; software must retry, exactly like an AFB failure.
-	ok := ran || denied
-	b.wcb[node] = ok
-	return old, ok, nil
+	b.eng.LocalSleepThen(node, b.p.RT, c.submitFn)
+	return nil
 }
 
-// WaitChange parks until a commit (or tone toggle) touches addr. The caller
-// re-reads afterwards; wake-ups can be spurious (same value rewritten).
-func (b *BM) WaitChange(p *sim.Proc, node int, addr uint32) {
-	b.watcherQueue(addr).Wait(p, "bm spin")
+// WaitChange enqueues fn to run when a commit (or tone toggle) touches
+// addr. The caller re-reads afterwards; wake-ups can be spurious (same
+// value rewritten).
+func (b *BM) WaitChange(addr uint32, fn func()) {
+	b.watcherQueue(addr).Wait(b.eng, fn)
 }
 
-// SpinUntil polls addr in the local replica until cond holds, sleeping
-// between polls the way a core spins on its local BM: no network traffic at
-// all. It returns the satisfying value.
-func (b *BM) SpinUntil(p *sim.Proc, node int, pid uint16, addr uint32, cond func(uint64) bool) (uint64, error) {
-	for {
-		v, err := b.Load(p, node, pid, addr)
-		if err != nil {
-			return 0, err
-		}
-		if cond(v) {
-			return v, nil
-		}
-		b.WaitChange(p, node, addr)
+// bmSpin is a recycled spin loop: the onVal/respin continuation pair of
+// SpinUntil as struct fields and cached method values. Spins from
+// different nodes overlap, so the structs pool on the BM; a spin returns
+// to the pool the moment its condition is satisfied.
+type bmSpin struct {
+	b    *BM
+	node int
+	pid  uint16
+	addr uint32
+	cond func(uint64) bool
+	then func(uint64)
+
+	onValFn  func(uint64)
+	respinFn func()
+}
+
+func (sp *bmSpin) respin() {
+	if err := sp.b.Load(sp.node, sp.pid, sp.addr, sp.onValFn); err != nil {
+		// The entry was freed or re-tagged mid-spin: the simulated
+		// program faults.
+		panic(err)
 	}
+}
+
+func (sp *bmSpin) onVal(v uint64) {
+	b := sp.b
+	if sp.cond(v) {
+		then := sp.then
+		sp.cond, sp.then = nil, nil
+		b.spinFree = append(b.spinFree, sp)
+		then(v)
+		return
+	}
+	b.WaitChange(sp.addr, sp.respinFn)
+}
+
+// SpinUntil polls addr in the local replica until cond holds, waiting for
+// a commit to addr between polls the way a core spins on its local BM: no
+// network traffic at all. then receives the satisfying value.
+func (b *BM) SpinUntil(node int, pid uint16, addr uint32, cond func(uint64) bool, then func(uint64)) error {
+	if err := b.check(node, pid, addr); err != nil {
+		return err
+	}
+	var sp *bmSpin
+	if n := len(b.spinFree); n > 0 {
+		sp = b.spinFree[n-1]
+		b.spinFree = b.spinFree[:n-1]
+		b.eng.StepPoolHit()
+	} else {
+		sp = &bmSpin{b: b}
+		sp.onValFn = sp.onVal
+		sp.respinFn = sp.respin
+		b.eng.StepPoolMiss()
+	}
+	sp.node, sp.pid, sp.addr, sp.cond, sp.then = node, pid, addr, cond, then
+	sp.respin()
+	return nil
+}
+
+// watcherQueue returns the spin queue for addr, creating it on demand.
+func (b *BM) watcherQueue(addr uint32) *sim.WaitQueue {
+	q, ok := b.watchers[addr]
+	if !ok {
+		q = &sim.WaitQueue{}
+		b.watchers[addr] = q
+	}
+	return q
 }

@@ -12,8 +12,7 @@
 // other half of the cache key (the service keys entries by
 // (digest, seed)), and Shards only partitions the engine's event storage —
 // sharded runs are bit-identical at every count, pinned by
-// TestGoldenShardInvariance. The execution mode (task vs thread) never
-// reaches Config at all and is excluded for the same reason.
+// TestGoldenShardInvariance.
 package config
 
 import (

@@ -1,68 +1,10 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// Exec selects the workload-thread execution mode of a kernel or
-// application run. Both modes produce bit-identical simulated results
-// (pinned by the equivalence suites in packages kernels and apps and the
-// golden-conformance suites in package harness); they differ only in
-// simulator wall-clock cost.
+// Exec names a workload execution mode. Workloads have a single execution
+// mode, continuation-form Tasks; Exec and ExecTask are kept only so the
+// benchmark driver in perfbench/ (a separate module pinned to this API)
+// keeps building through apps.RunExec. Nothing else uses them.
 type Exec int
 
-const (
-	// ExecTask runs workload threads in continuation form (core.Task):
-	// the whole sweep point executes on the engine goroutine with zero
-	// process switches. This is the default — and the fast path.
-	ExecTask Exec = iota
-	// ExecThread runs workload threads as blocking goroutines
-	// (core.Thread), one Go-scheduler park/unpark per forced suspension.
-	// Kept as the readable reference implementation and the equivalence
-	// baseline.
-	ExecThread
-)
-
-func (x Exec) String() string {
-	switch x {
-	case ExecTask:
-		return "task"
-	case ExecThread:
-		return "thread"
-	}
-	return "exec?"
-}
-
-// ParseExec resolves an -exec flag value or a sweep-job field.
-func ParseExec(s string) (Exec, bool) {
-	switch s {
-	case "task":
-		return ExecTask, true
-	case "thread":
-		return ExecThread, true
-	}
-	return 0, false
-}
-
-// MarshalJSON renders the mode as its flag name.
-func (x Exec) MarshalJSON() ([]byte, error) {
-	if x != ExecTask && x != ExecThread {
-		return nil, fmt.Errorf("core: cannot marshal invalid exec mode %d", int(x))
-	}
-	return json.Marshal(x.String())
-}
-
-// UnmarshalJSON accepts a mode name as ParseExec does.
-func (x *Exec) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("core: exec must be a name string: %w", err)
-	}
-	v, ok := ParseExec(s)
-	if !ok {
-		return fmt.Errorf("core: unknown exec mode %q (task or thread)", s)
-	}
-	*x = v
-	return nil
-}
+// ExecTask is the one execution mode: workload threads run as core.Tasks.
+const ExecTask Exec = 0

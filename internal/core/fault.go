@@ -26,11 +26,6 @@ func (f Fault) String() string {
 	return fmt.Sprintf("core%d/pid%d %s @%d", f.Core, f.PID, f.Op, f.Cycle)
 }
 
-// threadHalt is the panic sentinel a fail-stop guard raises to unwind a
-// workload thread's goroutine; the Spawn wrapper recovers it and retires
-// the thread cleanly. It never escapes package core.
-type threadHalt struct{}
-
 // recordFault appends one fault record; deterministic because guards fire
 // at fixed (time, sequence) positions in the event order.
 func (m *Machine) recordFault(core int, pid uint16, op string) {
@@ -143,10 +138,7 @@ func (m *Machine) runGuardedUntil(t sim.Time) error {
 		if budget > 0 && horizon > budget {
 			horizon = budget
 		}
-		if err := m.Eng.RunBounded(horizon); err != nil {
-			m.Eng.Shutdown()
-			return err
-		}
+		m.Eng.RunBounded(horizon)
 		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
 			break // every thread finished before the cut
 		}
@@ -168,9 +160,7 @@ func (m *Machine) runGuardedUntil(t sim.Time) error {
 	}
 	// Advance the clock to the exact horizon, as the unguarded RunUntil
 	// does (no events remain at or below t).
-	if err := m.Eng.RunUntil(t); err != nil {
-		return err
-	}
+	m.Eng.RunUntil(t)
 	m.Eng.Shutdown()
 	return nil
 }
@@ -192,10 +182,7 @@ func (m *Machine) runGuarded() error {
 		if m.Cfg.Budget > 0 && horizon > m.Cfg.Budget {
 			horizon = m.Cfg.Budget
 		}
-		if err := m.Eng.RunBounded(horizon); err != nil {
-			m.Eng.Shutdown()
-			return err
-		}
+		m.Eng.RunBounded(horizon)
 		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
 			return nil
 		}

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // This file holds the recycled continuation steps behind the hot Task
 // operations. The straightforward continuation form of an operation like
 // CAS captures its parameters in two or three short-lived closures (the
@@ -82,7 +84,7 @@ func (op *rmwOp) start(addr uint64) {
 
 func (op *rmwOp) issue() {
 	t := op.t
-	t.M.Mem.RMWAsync(t.Core, op.addr, op.fFn, op.doneFn)
+	t.M.Mem.RMW(t.Core, op.addr, op.fFn, op.doneFn)
 }
 
 // f is the read-modify function, dispatched on kind. It is pure and
@@ -184,35 +186,35 @@ func (op *hwOp) issue() {
 	case hwBMLoad:
 		then := op.thenU
 		op.thenU = nil
-		t.must(t.M.BM.LoadAsync(t.Core, t.PID, op.addr, then))
+		t.must(t.M.BM.Load(t.Core, t.PID, op.addr, then))
 	case hwBMStore:
 		then := op.then0
 		op.then0 = nil
-		t.must(t.M.BM.StoreAsync(t.Core, t.PID, op.addr, op.val, then))
+		t.must(t.M.BM.Store(t.Core, t.PID, op.addr, op.val, then))
 	case hwBMSpin:
 		cond, then := op.cond, op.thenU
 		op.cond, op.thenU = nil, nil
-		t.must(t.M.BM.SpinUntilAsync(t.Core, t.PID, op.addr, cond, then))
+		t.must(t.M.BM.SpinUntil(t.Core, t.PID, op.addr, cond, then))
 	case hwToneStore:
 		then := op.then0
 		op.then0 = nil
-		t.must(t.M.Tone.ToneStoreAsync(t.Core, t.PID, op.addr, then))
+		t.must(t.M.Tone.ToneStore(t.Core, t.PID, op.addr, then))
 	case hwToneWait:
 		// then0 stays set until the toggle fires: the task is suspended
 		// in the tone wait, so the struct cannot be reused meanwhile.
-		t.must(t.M.Tone.WaitToggleAsync(t.Core, t.PID, op.addr, op.val, op.onToneFn))
+		t.must(t.M.Tone.WaitToggle(t.Core, t.PID, op.addr, op.val, op.onToneFn))
 	case hwMemSpin:
 		cond, then := op.cond, op.thenU
 		op.cond, op.thenU = nil, nil
-		t.M.Mem.SpinUntilAsync(t.Core, op.addr64, cond, then)
+		t.M.Mem.SpinUntil(t.Core, op.addr64, cond, then)
 	case hwMemRead:
 		then := op.thenU
 		op.thenU = nil
-		t.M.Mem.ReadAsync(t.Core, op.addr64, then)
+		t.M.Mem.Read(t.Core, op.addr64, then)
 	}
 }
 
-// onTone adapts WaitToggleAsync's value-carrying completion to ToneWait's
+// onTone adapts WaitToggle's value-carrying completion to ToneWait's
 // niladic continuation.
 func (op *hwOp) onTone(uint64) {
 	then := op.then0
@@ -225,20 +227,21 @@ type bmKind uint8
 
 const (
 	bmAdd bmKind = iota
+	bmAddF64
 	bmTAS
 	bmCAS
 )
 
 // bmRetryOp is the recycled step behind the Figure 4 BM retry protocols
-// (BMFetchAdd, BMTestAndSet, BMCAS): a hardware RMW attempt repeated until
-// the atomicity-failure bit stays clear, with the 2-instruction
-// check-and-branch charge between attempts. Exactly one of thenU/thenB is
-// set, matching kind.
+// (BMFetchAdd, BMFetchAddF64, BMTestAndSet, BMCAS): a hardware RMW attempt
+// repeated until the atomicity-failure bit stays clear, with the
+// 2-instruction check-and-branch charge between attempts. Exactly one of
+// thenU/thenB is set, matching kind.
 type bmRetryOp struct {
 	t     *Task
 	kind  bmKind
 	addr  uint32
-	delta uint64 // fetch&add
+	delta uint64 // fetch&add; IEEE-754 bits for bmAddF64
 	old   uint64 // CAS expected value
 	nv    uint64 // CAS new value
 
@@ -273,8 +276,7 @@ func (op *bmRetryOp) attempt() {
 	t.st.SetReasonArg("bm rmw", uint64(op.addr))
 	t.bm()
 	// A fail-stopped transceiver turns this retry loop into a livelock
-	// (every attempt fails); halt with a fault record instead, mirroring
-	// Thread.txGuard's position at the top of the blocking retry loops.
+	// (every attempt fails); halt with a fault record instead.
 	if t.txGuard("bm rmw") {
 		return
 	}
@@ -289,13 +291,15 @@ func (op *bmRetryOp) attempt() {
 
 func (op *bmRetryOp) issue() {
 	t := op.t
-	t.must(t.M.BM.RMWAsync(t.Core, t.PID, op.addr, op.fFn, op.doneFn))
+	t.must(t.M.BM.RMW(t.Core, t.PID, op.addr, op.fFn, op.doneFn))
 }
 
 func (op *bmRetryOp) f(cur uint64) (uint64, bool) {
 	switch op.kind {
 	case bmAdd:
 		return cur + op.delta, true
+	case bmAddF64:
+		return math.Float64bits(math.Float64frombits(cur) + math.Float64frombits(op.delta)), true
 	case bmTAS:
 		if cur != 0 {
 			return cur, false // already set; read is enough

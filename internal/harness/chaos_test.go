@@ -188,7 +188,7 @@ func TestChaosCounterConservation(t *testing.T) {
 }
 
 // TestFailStopBarrierDeadlock pins the degraded-diagnostics satellite: a
-// fail-stop under a barrier workload (task mode) parks the survivors
+// fail-stop under a barrier workload parks the survivors
 // forever, and the resulting structured deadlock error reports the
 // simulated cycle and each parked core's last-operation breadcrumb with
 // its address.

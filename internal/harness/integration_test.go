@@ -7,6 +7,7 @@ import (
 	"wisync/internal/config"
 	"wisync/internal/core"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 	"wisync/internal/syncprims"
 )
 
@@ -32,47 +33,71 @@ func TestKitchenSink(t *testing.T) {
 
 			var inCS, maxCS int
 			var consumed []uint64
-			m.SpawnAll(func(th *core.Thread) {
+			m.SpawnAll(func(th *core.Task) {
 				rng := sim.NewRand(uint64(th.Core) + 1234)
-				for r := 0; r < rounds; r++ {
-					th.Compute(rng.Intn(300))
-					// Background coherence traffic.
-					for i := 0; i < 4; i++ {
-						th.Read(sharedBase + uint64(rng.Intn(256)*8))
-					}
-					// Mutual exclusion.
-					lock.Acquire(th)
-					inCS++
-					if inCS > maxCS {
-						maxCS = inCS
-					}
-					th.Compute(15)
-					th.Sync()
-					inCS--
-					lock.Release(th)
-					// Reduction and lock-free updates.
-					red.Add(th, 1)
-					for !counter.CAS(th, counter.Load(th), counter.Load(th)+1) {
-						th.Instr(8)
+				var casDone bool
+				simtest.Repeat(rounds, func(r int) simtest.Op {
+					ops := []simtest.Op{
+						simtest.Do(func() { th.Compute(rng.Intn(300)) }),
+						// Background coherence traffic.
+						simtest.Repeat(4, func(int) simtest.Op {
+							return func(next func()) {
+								th.Read(sharedBase+uint64(rng.Intn(256)*8), func(uint64) { next() })
+							}
+						}),
+						// Mutual exclusion.
+						func(next func()) {
+							lock.Acquire(th, func() {
+								inCS++
+								if inCS > maxCS {
+									maxCS = inCS
+								}
+								th.Compute(15)
+								th.Sync(func() {
+									inCS--
+									lock.Release(th, next)
+								})
+							})
+						},
+						// Reduction and lock-free updates.
+						func(next func()) { red.Add(th, 1, func(uint64) { next() }) },
+						simtest.Do(func() { casDone = false }),
+						simtest.While(func() bool { return !casDone }, func(next func()) {
+							counter.Load(th, func(old uint64) {
+								counter.Load(th, func(cur uint64) {
+									counter.CAS(th, old, cur+1, func(ok bool) {
+										if casDone = ok; !ok {
+											th.Instr(8)
+										}
+										next()
+									})
+								})
+							})
+						}),
 					}
 					// Producer-consumer across two fixed cores.
 					if th.Core == 0 {
-						pc.Produce(th, []uint64{uint64(r + 1)})
+						ops = append(ops, func(next func()) { pc.Produce(th, []uint64{uint64(r + 1)}, next) })
 					}
 					if th.Core == cores-1 {
 						buf := make([]uint64, 1)
-						pc.Consume(th, buf)
-						consumed = append(consumed, buf[0])
+						ops = append(ops, func(next func()) {
+							pc.Consume(th, buf, func() {
+								consumed = append(consumed, buf[0])
+								next()
+							})
+						})
 					}
 					// One thread triggers the eureka each round; all ack.
 					if th.Core == r%cores {
-						eur.Trigger(th)
+						ops = append(ops, func(next func()) { eur.Trigger(th, next) })
 					} else {
-						eur.WaitTriggered(th)
+						ops = append(ops, func(next func()) { eur.WaitTriggered(th, next) })
 					}
-					eur.Ack(th)
-					barrier.Wait(th)
-				}
+					ops = append(ops, simtest.Do(func() { eur.Ack(th) }),
+						func(next func()) { barrier.Wait(th, next) })
+					return simtest.Chain(ops...)
+				})(th.Finish)
 			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
@@ -81,7 +106,9 @@ func TestKitchenSink(t *testing.T) {
 				t.Errorf("mutual exclusion violated: %d threads in CS", maxCS)
 			}
 			var redVal uint64
-			m.Spawn("check", 0, 1, func(th *core.Thread) { redVal = red.Value(th) })
+			m.Spawn("check", 0, 1, func(th *core.Task) {
+				red.Value(th, func(v uint64) { redVal = v; th.Finish() })
+			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -113,16 +140,19 @@ func TestKitchenSinkDeterministic(t *testing.T) {
 		b := f.NewBarrier(nil)
 		l := f.NewLock()
 		red := f.NewReducer(0)
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAll(func(th *core.Task) {
 			rng := sim.NewRand(uint64(th.Core) * 7)
-			for r := 0; r < 5; r++ {
-				th.Compute(rng.Intn(200))
-				l.Acquire(th)
-				th.Compute(10)
-				l.Release(th)
-				red.Add(th, 1)
-				b.Wait(th)
-			}
+			simtest.Repeat(5, func(int) simtest.Op {
+				return func(next func()) {
+					th.Compute(rng.Intn(200))
+					l.Acquire(th, func() {
+						th.Compute(10)
+						l.Release(th, func() {
+							red.Add(th, 1, func(uint64) { b.Wait(th, next) })
+						})
+					})
+				}
+			})(th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -149,12 +179,16 @@ func TestAllCoreCountsAllKinds(t *testing.T) {
 				m := core.NewMachine(config.New(kind, cores))
 				b := syncprims.NewFactory(m).NewBarrier(nil)
 				done := 0
-				m.SpawnAll(func(th *core.Thread) {
-					for e := 0; e < 2; e++ {
-						th.Compute(th.Core % 17)
-						b.Wait(th)
-					}
-					done++
+				m.SpawnAll(func(th *core.Task) {
+					simtest.Repeat(2, func(int) simtest.Op {
+						return func(next func()) {
+							th.Compute(th.Core % 17)
+							b.Wait(th, next)
+						}
+					})(func() {
+						done++
+						th.Finish()
+					})
 				})
 				if err := m.Run(); err != nil {
 					t.Fatal(err)

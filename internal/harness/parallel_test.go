@@ -88,8 +88,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 }
 
 // TestWorkersBitIdenticalApps is the same property over the application
-// suite (Figure 10 rows feed Table 5), which runs the OS-flavored
-// workloads — the goroutine-process slow path.
+// suite (Figure 10 rows feed Table 5).
 func TestWorkersBitIdenticalApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application sweep")

@@ -1,11 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"wisync/internal/config"
-	"wisync/internal/kernels"
 )
 
 // quickSpecs is a small batch of fast golden-covered points spanning kinds
@@ -105,8 +105,8 @@ func TestPointSpecNormalize(t *testing.T) {
 }
 
 // TestPointDigest pins the content-address semantics the cache relies on:
-// aliases and defaults collapse onto one digest; seed, exec mode and shard
-// count do not split it; workload parameters and machine configuration do.
+// aliases and defaults collapse onto one digest; seed and shard count do
+// not split it; workload parameters and machine configuration do.
 func TestPointDigest(t *testing.T) {
 	digest := func(s PointSpec) string {
 		t.Helper()
@@ -117,10 +117,9 @@ func TestPointDigest(t *testing.T) {
 		return d
 	}
 	base := PointSpec{Workload: "livermore2", Kind: config.WiSync, Cores: 64, Seed: 1, N: 96, Passes: 1}
-	alias := PointSpec{Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 9, CS: 5,
-		Exec: kernels.ExecThread, Shards: 4}
+	alias := PointSpec{Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 9, CS: 5, Shards: 4}
 	if digest(base) != digest(alias) {
-		t.Fatal("alias/defaults/seed/exec/shards split the digest; cache would never hit")
+		t.Fatal("alias/defaults/seed/shards split the digest; cache would never hit")
 	}
 	for name, other := range map[string]PointSpec{
 		"workload": {Workload: "livermore3", Kind: config.WiSync, Cores: 64, Seed: 1},
@@ -151,7 +150,6 @@ func TestPointSpecValidate(t *testing.T) {
 		"bad kind":         {Workload: "tightloop", Kind: 9, Cores: 64, Seed: 1},
 		"bad variant":      {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Variant: 9},
 		"bad mac":          {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, MAC: 9},
-		"bad exec":         {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Exec: 7},
 		"bad shards":       {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Shards: 65},
 		"iters beyond cap": {Workload: "tightloop", Kind: config.WiSync, Cores: 64, Seed: 1, Iters: maxIters + 1},
 		"n beyond cap":     {Workload: "liv2", Kind: config.WiSync, Cores: 64, Seed: 1, N: maxVecLen + 1},
@@ -188,5 +186,14 @@ func TestPointDigestPinned(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: digest %s, want %s", c.spec.ID(), got, c.want)
 		}
+	}
+	// A spec serialized by a build that still had the execution-mode field
+	// decodes, ignoring the field, to the same point.
+	var old PointSpec
+	if err := json.Unmarshal([]byte(`{"workload":"tightloop","kind":"Baseline","cores":16,"seed":1,"exec":"thread"}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := old.Digest(); err != nil || got != "9e3363a2bf2ce8480f2fced06e2a9b8cc38b8ec63d29c902cf7459058de74254" {
+		t.Errorf("spec carrying exec: digest %s (%v), want the pinned tightloop digest", got, err)
 	}
 }

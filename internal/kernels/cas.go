@@ -73,11 +73,6 @@ func (r CASResult) String() string {
 // the kernels use no locks or barriers, so the other configurations are
 // redundant — but any configuration can be passed.
 func CASKernel(cfg config.Config, kind CASKind, csInstr int, duration sim.Time) CASResult {
-	return CASKernelExec(cfg, kind, csInstr, duration, ExecTask)
-}
-
-// CASKernelExec is CASKernel with an explicit execution mode.
-func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Time, exec Exec) CASResult {
 	m := core.NewMachine(cfg)
 	f := syncprims.NewFactory(m)
 	// Shared pointers. FIFO has distinct head and tail; LIFO and ADD hit
@@ -95,67 +90,12 @@ func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Ti
 	threadRand := func(core int) *sim.Rand {
 		return sim.NewRand(uint64(core)*2654435761 + cfg.Seed + uint64(kind)*7919)
 	}
-	if exec == ExecThread {
-		m.SpawnAll(func(t *core.Thread) {
-			rng := threadRand(t.Core)
-			// Stagger thread starts across one work period and jitter each
-			// period by +-12%, or the threads arrive at the shared pointer
-			// in lockstep convoys that no real system exhibits.
-			t.Instr(rng.Intn(csInstr + 1))
-			op := 0
-			for {
-				t.Instr(csInstr - csInstr/8 + rng.Intn(csInstr/4+1))
-				// Pick the target pointer: FIFO alternates enqueue
-				// (tail) and dequeue (head); LIFO/ADD use one pointer.
-				v := vars[0]
-				if kind == FIFO && op%2 == 1 {
-					v = vars[1]
-				}
-				op++
-				// Prepare the private node. ADD builds a full node from
-				// the pool each time; LIFO's pop half and FIFO's dequeue
-				// half touch less private state.
-				t.Write(nodeLines[t.Core], rng.Uint64())
-				switch {
-				case kind == ADD:
-					t.Instr(8)
-				case op%2 == 1:
-					t.Instr(2)
-				default:
-					t.Instr(4)
-				}
-				// Lock-free update loop with standard exponential backoff
-				// on failure. Without backoff a deep retry queue is a
-				// stable congestion attractor: every queued CAS is stale
-				// by the time it is granted, and throughput collapses to
-				// one success per queue rotation.
-				backoff := 8
-				for {
-					old := v.Load(t)
-					if v.CAS(t, old, old+1) {
-						successes++
-						break
-					}
-					failures++
-					t.Instr(backoff + rng.Intn(backoff))
-					if backoff < 2048 {
-						backoff *= 2
-					}
-				}
-			}
-		})
-	} else {
-		tvars := make([]syncprims.TaskVar, len(vars))
-		for i, v := range vars {
-			tvars[i] = syncprims.AsTaskVar(v)
-		}
-		m.SpawnAllTasks(func(t *core.Task) {
-			s := newCASStep(t, kind, tvars, nodeLines[t.Core], csInstr,
-				threadRand(t.Core), &successes, &failures)
-			t.Instr(s.rng.Intn(csInstr + 1))
-			s.period()
-		})
-	}
+	m.SpawnAll(func(t *core.Task) {
+		s := newCASStep(t, kind, vars, nodeLines[t.Core], csInstr,
+			threadRand(t.Core), &successes, &failures)
+		t.Instr(s.rng.Intn(csInstr + 1))
+		s.period()
+	})
 	if err := m.RunUntil(duration); err != nil {
 		panic(err)
 	}
@@ -183,19 +123,18 @@ func CASKernelExec(cfg config.Config, kind CASKind, csInstr int, duration sim.Ti
 // the backoff state and the loaded value in fresh closures on every
 // operation; here they are struct fields and the continuations are method
 // values cached at construction, so the steady state allocates nothing.
-// The period never finishes on its own — RunUntil's horizon cuts the run,
-// exactly as it kills the blocking threads.
+// The period never finishes on its own — RunUntil's horizon cuts the run.
 type casStep struct {
 	t       *core.Task
 	kind    CASKind
-	vars    []syncprims.TaskVar
+	vars    []syncprims.Var
 	node    uint64
 	csInstr int
 	rng     *sim.Rand
 
 	op      int
 	backoff int
-	v       syncprims.TaskVar
+	v       syncprims.Var
 
 	successes, failures *uint64
 
@@ -204,7 +143,7 @@ type casStep struct {
 	onCASFn      func(bool)
 }
 
-func newCASStep(t *core.Task, kind CASKind, vars []syncprims.TaskVar, node uint64,
+func newCASStep(t *core.Task, kind CASKind, vars []syncprims.Var, node uint64,
 	csInstr int, rng *sim.Rand, successes, failures *uint64) *casStep {
 	t.M.Eng.StepPoolMiss()
 	s := &casStep{t: t, kind: kind, vars: vars, node: node, csInstr: csInstr,
@@ -249,10 +188,10 @@ func (s *casStep) afterWrite() {
 	s.attempt()
 }
 
-func (s *casStep) attempt() { s.v.LoadTask(s.t, s.onLoadFn) }
+func (s *casStep) attempt() { s.v.Load(s.t, s.onLoadFn) }
 
 func (s *casStep) onLoad(old uint64) {
-	s.v.CASTask(s.t, old, old+1, s.onCASFn)
+	s.v.CAS(s.t, old, old+1, s.onCASFn)
 }
 
 func (s *casStep) onCAS(ok bool) {

@@ -13,8 +13,10 @@ import (
 // golden matrix in package harness: every reported metric and every
 // mem/net/MAC protocol counter must match testdata/equivalence.tsv
 // exactly, across seeds and all four architectures. The file was recorded
-// from the blocking reference implementation the continuation-form
-// kernels replaced. Regenerate it only after an intended behaviour change:
+// from the blocking, goroutine-per-thread reference implementation the
+// continuation-form kernels replaced, and the kernels matched it before
+// that implementation was deleted. Regenerate it only after an intended
+// behaviour change:
 //
 //	go test ./internal/kernels -run Equivalence -update-golden
 
@@ -47,20 +49,10 @@ func pointID(cfg config.Config) string {
 // configuration.
 func plain(r any) string { return recorded.Fields(r, "Cfg") }
 
-// face is the execution mode the rows are produced with: the task face is
-// checked against the file, which -update-golden records from the thread
-// face.
-func face() Exec {
-	if *updateGolden {
-		return ExecThread
-	}
-	return ExecTask
-}
-
 func TestTightLoopExecEquivalence(t *testing.T) {
 	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		rows = append(rows, recorded.Rowf(pointID(cfg), plain(TightLoopExec(cfg, 6, face()))))
+		rows = append(rows, recorded.Rowf(pointID(cfg), plain(TightLoop(cfg, 6))))
 	}
 	recorded.Check(t, equivPath, "tightloop", rows, *updateGolden)
 }
@@ -68,7 +60,7 @@ func TestTightLoopExecEquivalence(t *testing.T) {
 func TestLivermore2ExecEquivalence(t *testing.T) {
 	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		r, x := Livermore2Exec(cfg, 48, 1, face())
+		r, x := Livermore2(cfg, 48, 1)
 		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
 			recorded.Rowf(pointID(cfg)+"/x", x))
 	}
@@ -78,7 +70,7 @@ func TestLivermore2ExecEquivalence(t *testing.T) {
 func TestLivermore3ExecEquivalence(t *testing.T) {
 	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		r, s := Livermore3Exec(cfg, 96, 2, face())
+		r, s := Livermore3(cfg, 96, 2)
 		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
 			recorded.Rowf(pointID(cfg)+"/sum", s))
 	}
@@ -88,7 +80,7 @@ func TestLivermore3ExecEquivalence(t *testing.T) {
 func TestLivermore6ExecEquivalence(t *testing.T) {
 	var rows []recorded.Row
 	for _, cfg := range equivConfigs() {
-		r, w := Livermore6Exec(cfg, 24, face())
+		r, w := Livermore6(cfg, 24)
 		rows = append(rows, recorded.Rowf(pointID(cfg), plain(r)),
 			recorded.Rowf(pointID(cfg)+"/w", w))
 	}
@@ -103,7 +95,7 @@ func TestCASKernelExecEquivalence(t *testing.T) {
 	for _, kind := range []CASKind{FIFO, LIFO, ADD} {
 		for _, cfg := range equivConfigs() {
 			id := fmt.Sprintf("%v/%s", kind, pointID(cfg))
-			rows = append(rows, recorded.Rowf(id, plain(CASKernelExec(cfg, kind, 128, 8000, face()))))
+			rows = append(rows, recorded.Rowf(id, plain(CASKernel(cfg, kind, 128, 8000))))
 		}
 	}
 	recorded.Check(t, equivPath, "cas", rows, *updateGolden)
@@ -121,8 +113,8 @@ func TestExecEquivalenceLargerPoint(t *testing.T) {
 	for _, k := range []config.Kind{config.Baseline, config.WiSync} {
 		cfg := config.New(k, 64)
 		rows = append(rows,
-			recorded.Rowf("tightloop/"+pointID(cfg), plain(TightLoopExec(cfg, 8, face()))),
-			recorded.Rowf("cas-fifo/"+pointID(cfg), plain(CASKernelExec(cfg, FIFO, 128, 20000, face()))))
+			recorded.Rowf("tightloop/"+pointID(cfg), plain(TightLoop(cfg, 8))),
+			recorded.Rowf("cas-fifo/"+pointID(cfg), plain(CASKernel(cfg, FIFO, 128, 20000))))
 	}
 	recorded.Check(t, equivPath, "64c", rows, *updateGolden)
 }

@@ -8,6 +8,7 @@ import (
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 // raceOutcome is what one run of readDuringWrite observed.
@@ -30,9 +31,10 @@ const (
 )
 
 // readDuringWrite runs, on a 16-core machine: raceOwner reads readAddr and
-// the reader reads writeAddr at t=0; at t=1000 the reader reads readAddr
-// (through Read or ReadAsync), and at t=1000+delay the writer writes
-// writeAddr.
+// the reader reads writeAddr at t=0; at t=1000 the reader reads readAddr,
+// and at t=1000+delay the writer writes writeAddr. With async unset the
+// reader task issues the read after sleeping until t=1000; with async set
+// a bare engine event issues it at t=1000, the way hardware models do.
 func readDuringWrite(t *testing.T, async bool, readAddr, writeAddr uint64, delay sim.Time) raceOutcome {
 	t.Helper()
 	eng, s := newSys(t, 16)
@@ -50,26 +52,22 @@ func readDuringWrite(t *testing.T, async bool, readAddr, writeAddr uint64, delay
 			}
 		}
 	}
-	eng.Go("owner", func(p *sim.Proc) { s.Read(p, raceOwner, readAddr) })
-	eng.Go("reader", func(p *sim.Proc) {
-		if writeAddr != readAddr {
-			s.Read(p, raceReader, writeAddr)
-		}
-		if async {
-			return
-		}
-		p.Sleep(1000 - p.Now())
-		out.got = s.Read(p, raceReader, readAddr)
-	})
+	simtest.Seq(eng, "owner", read(s, raceOwner, readAddr, nil))
+	var reader []simtest.Op
+	if writeAddr != readAddr {
+		reader = append(reader, read(s, raceReader, writeAddr, nil))
+	}
 	if async {
 		eng.Schedule(1000, func() {
-			s.ReadAsync(raceReader, readAddr, func(v uint64) { out.got = v })
+			s.Read(raceReader, readAddr, func(v uint64) { out.got = v })
 		})
+	} else {
+		reader = append(reader,
+			func(next func()) { eng.SleepThen(1000-eng.Now(), next) },
+			read(s, raceReader, readAddr, func(v uint64) { out.got = v }))
 	}
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(1000 + delay)
-		s.Write(p, raceWriter, writeAddr, 9)
-	})
+	simtest.Seq(eng, "reader", reader...)
+	simtest.Seq(eng, "writer", simtest.Sleep(eng, 1000+delay), write(s, raceWriter, writeAddr, 9))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,47 +157,59 @@ func TestPackedWayEdgeLines(t *testing.T) {
 				s.Poke(addrs[i], 100+uint64(i))
 			}
 			debugSet := func() string { return fmt.Sprint(s.DebugSet(0, base)) }
-			run1(t, eng, func(pr *sim.Proc) {
+			var hits uint64
+			run1(t, eng,
 				// An invalidated way keeps its tag ahead of the empty ways,
 				// and the next fill of the set reuses it.
-				s.Read(pr, 0, addrs[1])
-				s.Write(pr, 3, addrs[1], 101)
-				if got, want := debugSet(), fmt.Sprintf("[line=%#x state=I]", Line(addrs[1])); got != want {
-					t.Errorf("DebugSet after invalidation = %s, want %s", got, want)
-				}
-				if v := s.Read(pr, 0, base+8); v != 0 {
-					t.Errorf("Read(word 1) = %d, want 0", v)
-				}
-				if got, want := debugSet(), fmt.Sprintf("[line=%#x state=E]", Line(base)); got != want {
-					t.Errorf("DebugSet after fill = %s, want %s", got, want)
-				}
-				if st := s.L1State(0, base); st != Exclusive {
-					t.Errorf("state after fill = %v, want E", st)
-				}
-				hits := s.Stats.L1Hits
-				if v := s.Read(pr, 0, base); v != 100 {
-					t.Errorf("Read hit = %d, want 100", v)
-				}
-				if s.Stats.L1Hits != hits+1 {
-					t.Error("second read of the line missed")
-				}
+				read(s, 0, addrs[1], nil),
+				write(s, 3, addrs[1], 101),
+				simtest.Do(func() {
+					if got, want := debugSet(), fmt.Sprintf("[line=%#x state=I]", Line(addrs[1])); got != want {
+						t.Errorf("DebugSet after invalidation = %s, want %s", got, want)
+					}
+				}),
+				read(s, 0, base+8, func(v uint64) {
+					if v != 0 {
+						t.Errorf("Read(word 1) = %d, want 0", v)
+					}
+					if got, want := debugSet(), fmt.Sprintf("[line=%#x state=E]", Line(base)); got != want {
+						t.Errorf("DebugSet after fill = %s, want %s", got, want)
+					}
+					if st := s.L1State(0, base); st != Exclusive {
+						t.Errorf("state after fill = %v, want E", st)
+					}
+					hits = s.Stats.L1Hits
+				}),
+				read(s, 0, base, func(v uint64) {
+					if v != 100 {
+						t.Errorf("Read hit = %d, want 100", v)
+					}
+					if s.Stats.L1Hits != hits+1 {
+						t.Error("second read of the line missed")
+					}
+				}),
 				// Fill the rest of the set, then one more: the first line,
 				// now LRU, is evicted.
-				for i := 1; i < len(addrs); i++ {
-					if v := s.Read(pr, 0, addrs[i]); v != 100+uint64(i) {
-						t.Errorf("Read(%#x) = %d", addrs[i], v)
+				simtest.Repeat(len(addrs)-1, func(i int) simtest.Op {
+					return read(s, 0, addrs[i+1], func(v uint64) {
+						if v != 101+uint64(i) {
+							t.Errorf("Read(%#x) = %d", addrs[i+1], v)
+						}
+					})
+				}),
+				simtest.Do(func() {
+					if st := s.L1State(0, base); st != Invalid {
+						t.Errorf("LRU line state after eviction = %v, want I", st)
 					}
-				}
-				if st := s.L1State(0, base); st != Invalid {
-					t.Errorf("LRU line state after eviction = %v, want I", st)
-				}
-				if s.Stats.Evictions != 1 {
-					t.Errorf("Evictions = %d, want 1", s.Stats.Evictions)
-				}
-				if v := s.Read(pr, 3, base); v != 100 {
-					t.Errorf("Read after eviction = %d, want 100", v)
-				}
-			})
+					if s.Stats.Evictions != 1 {
+						t.Errorf("Evictions = %d, want 1", s.Stats.Evictions)
+					}
+				}),
+				read(s, 3, base, func(v uint64) {
+					if v != 100 {
+						t.Errorf("Read after eviction = %d, want 100", v)
+					}
+				}))
 			if err := s.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
@@ -223,24 +233,22 @@ func TestL1SetMRUOrder(t *testing.T) {
 		}
 		return fmt.Sprint(out)
 	}
-	run1(t, eng, func(pr *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			s.Read(pr, 0, a(i))
-		}
-		if got := fmt.Sprint(s.DebugSet(0, a(0))); got != order(2, 1, 0) {
-			t.Errorf("after fills: %s, want %s", got, order(2, 1, 0))
-		}
-		s.Read(pr, 0, a(0))
-		s.Read(pr, 0, a(1))
-		if got := fmt.Sprint(s.DebugSet(0, a(0))); got != order(1, 0, 2) {
-			t.Errorf("after hits: %s, want %s", got, order(1, 0, 2))
-		}
-		s.Read(pr, 0, a(3))
-		s.Read(pr, 0, a(4)) // evicts a(2), the LRU
-		if got := fmt.Sprint(s.DebugSet(0, a(0))); got != order(4, 3, 1, 0) {
-			t.Errorf("after eviction: %s, want %s", got, order(4, 3, 1, 0))
-		}
-	})
+	setIs := func(what string, idx ...int) simtest.Op {
+		return simtest.Do(func() {
+			if got := fmt.Sprint(s.DebugSet(0, a(0))); got != order(idx...) {
+				t.Errorf("after %s: %s, want %s", what, got, order(idx...))
+			}
+		})
+	}
+	run1(t, eng,
+		simtest.Repeat(3, func(i int) simtest.Op { return read(s, 0, a(i), nil) }),
+		setIs("fills", 2, 1, 0),
+		read(s, 0, a(0), nil),
+		read(s, 0, a(1), nil),
+		setIs("hits", 1, 0, 2),
+		read(s, 0, a(3), nil),
+		read(s, 0, a(4), nil), // evicts a(2), the LRU
+		setIs("eviction", 4, 3, 1, 0))
 	if s.Stats.Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", s.Stats.Evictions)
 	}

@@ -129,10 +129,8 @@ func (b *bitset) forEach(fn func(i int)) {
 
 // dirLine is the directory entry for one line, held at its home bank.
 type dirLine struct {
-	// res serializes transactions on the line. It is an AsyncResource:
-	// transactions run as engine-scheduled continuation chains (see txn.go),
-	// so line arbitration never parks a goroutine.
-	res     sim.AsyncResource
+	// res serializes transactions on the line.
+	res     sim.Resource
 	owner   int // core holding E/M/O, or -1
 	sharers bitset
 	inL2    bool
@@ -220,7 +218,7 @@ type System struct {
 	// lines is the paged dense store of per-line word values and
 	// directory entries (see store.go).
 	lines lineStore
-	mc    [4]sim.AsyncResource
+	mc    [4]sim.Resource
 	// txnFree recycles transaction state machines; the engine is single-
 	// threaded, so a plain freelist suffices and steady-state transactions
 	// allocate nothing. hitFree and spinFree do the same for the async

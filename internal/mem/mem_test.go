@@ -6,6 +6,7 @@ import (
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 func newSys(t *testing.T, cores int) (*sim.Engine, *System) {
@@ -15,39 +16,78 @@ func newSys(t *testing.T, cores int) (*sim.Engine, *System) {
 	return eng, New(eng, mesh, DefaultParams(cores))
 }
 
-// run executes body as a single process and returns the finish time.
-func run1(t *testing.T, eng *sim.Engine, body func(p *sim.Proc)) sim.Time {
+// read loads addr on core and hands the value to got (which may be nil).
+func read(s *System, core int, addr uint64, got func(uint64)) simtest.Op {
+	return func(next func()) {
+		s.Read(core, addr, func(v uint64) {
+			if got != nil {
+				got(v)
+			}
+			next()
+		})
+	}
+}
+
+func write(s *System, core int, addr, val uint64) simtest.Op {
+	return func(next func()) { s.Write(core, addr, val, next) }
+}
+
+func incr(v uint64) (uint64, bool) { return v + 1, true }
+
+func rmw(s *System, core int, addr uint64, f func(uint64) (uint64, bool), got func(uint64)) simtest.Op {
+	return func(next func()) {
+		s.RMW(core, addr, f, func(v uint64) {
+			if got != nil {
+				got(v)
+			}
+			next()
+		})
+	}
+}
+
+func spin(s *System, core int, addr uint64, cond func(uint64) bool, got func(uint64)) simtest.Op {
+	return func(next func()) {
+		s.SpinUntil(core, addr, cond, func(v uint64) {
+			if got != nil {
+				got(v)
+			}
+			next()
+		})
+	}
+}
+
+// run1 executes ops as a single task and returns the finish time.
+func run1(t *testing.T, eng *sim.Engine, ops ...simtest.Op) sim.Time {
 	t.Helper()
-	var end sim.Time
-	eng.Go("t0", func(p *sim.Proc) {
-		body(p)
-		end = p.Now()
-	})
+	simtest.Seq(eng, "t0", ops...)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return end
+	return eng.Now()
 }
 
 func TestReadMissThenHit(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x1000, 42)
-	run1(t, eng, func(p *sim.Proc) {
-		if v := s.Read(p, 0, 0x1000); v != 42 {
+	var miss sim.Time
+	want42 := func(v uint64) {
+		if v != 42 {
 			t.Errorf("Read = %d, want 42", v)
 		}
-		miss := p.Now()
-		if v := s.Read(p, 0, 0x1000); v != 42 {
-			t.Errorf("second Read = %d, want 42", v)
-		}
-		hitLat := p.Now() - miss
-		if hitLat != s.Params().L1RT {
-			t.Errorf("hit latency = %d, want %d", hitLat, s.Params().L1RT)
-		}
-		if miss <= hitLat {
-			t.Errorf("miss latency %d not greater than hit latency %d", miss, hitLat)
-		}
-	})
+	}
+	run1(t, eng,
+		read(s, 0, 0x1000, want42),
+		simtest.Do(func() { miss = eng.Now() }),
+		read(s, 0, 0x1000, want42),
+		simtest.Do(func() {
+			hitLat := eng.Now() - miss
+			if hitLat != s.Params().L1RT {
+				t.Errorf("hit latency = %d, want %d", hitLat, s.Params().L1RT)
+			}
+			if miss <= hitLat {
+				t.Errorf("miss latency %d not greater than hit latency %d", miss, hitLat)
+			}
+		}))
 	if s.Stats.L1Hits != 1 || s.Stats.L1Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 1/1", s.Stats.L1Hits, s.Stats.L1Misses)
 	}
@@ -59,11 +99,11 @@ func TestReadMissThenHit(t *testing.T) {
 func TestColdMissPaysMemory(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.PokeCold(0x2000, 7)
-	lat := run1(t, eng, func(p *sim.Proc) {
-		if v := s.Read(p, 3, 0x2000); v != 7 {
+	lat := run1(t, eng, read(s, 3, 0x2000, func(v uint64) {
+		if v != 7 {
 			t.Errorf("Read = %d, want 7", v)
 		}
-	})
+	}))
 	if lat < s.Params().MemRT {
 		t.Errorf("cold miss latency %d < MemRT %d", lat, s.Params().MemRT)
 	}
@@ -75,39 +115,26 @@ func TestColdMissPaysMemory(t *testing.T) {
 func TestExclusiveGrantOnSoleReader(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x40, 1)
-	run1(t, eng, func(p *sim.Proc) {
-		s.Read(p, 2, 0x40)
+	run1(t, eng, read(s, 2, 0x40, func(uint64) {
 		if st := s.L1State(2, 0x40); st != Exclusive {
 			t.Errorf("sole reader state = %v, want E", st)
 		}
-		// A second reader forces a downgrade... from a different core.
-	})
+	}))
 }
 
 func TestReadSharersAndWriteInvalidates(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x80, 5)
-	done := make(chan struct{}, 3)
-	eng.Go("r1", func(p *sim.Proc) {
-		s.Read(p, 1, 0x80)
-		done <- struct{}{}
-	})
-	eng.Go("r2", func(p *sim.Proc) {
-		p.Sleep(100)
-		s.Read(p, 2, 0x80)
-		done <- struct{}{}
-	})
-	eng.Go("w3", func(p *sim.Proc) {
-		p.Sleep(300)
-		s.Write(p, 3, 0x80, 9)
+	simtest.Seq(eng, "r1", read(s, 1, 0x80, nil))
+	simtest.Seq(eng, "r2", simtest.Sleep(eng, 100), read(s, 2, 0x80, nil))
+	simtest.Seq(eng, "w3", simtest.Sleep(eng, 300), write(s, 3, 0x80, 9), simtest.Do(func() {
 		if st := s.L1State(3, 0x80); st != Modified {
 			t.Errorf("writer state = %v, want M", st)
 		}
 		if s.L1State(1, 0x80) != Invalid || s.L1State(2, 0x80) != Invalid {
 			t.Error("readers not invalidated by write")
 		}
-		done <- struct{}{}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +149,9 @@ func TestReadSharersAndWriteInvalidates(t *testing.T) {
 func TestOwnerForwardsToReader(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x100, 1)
-	eng.Go("w", func(p *sim.Proc) {
-		s.Write(p, 0, 0x100, 77)
-	})
-	eng.Go("r", func(p *sim.Proc) {
-		p.Sleep(500)
-		if v := s.Read(p, 9, 0x100); v != 77 {
+	simtest.Seq(eng, "w", write(s, 0, 0x100, 77))
+	simtest.Seq(eng, "r", simtest.Sleep(eng, 500), read(s, 9, 0x100, func(v uint64) {
+		if v != 77 {
 			t.Errorf("read from owner = %d, want 77", v)
 		}
 		// MOESI: previous owner keeps the line in Owned.
@@ -137,7 +161,7 @@ func TestOwnerForwardsToReader(t *testing.T) {
 		if st := s.L1State(9, 0x100); st != Shared {
 			t.Errorf("reader state = %v, want S", st)
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +178,7 @@ func TestRMWAtomicUnderContention(t *testing.T) {
 	s.Poke(0x200, 0)
 	const perCore, cores = 20, 64
 	for c := 0; c < cores; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
-			for i := 0; i < perCore; i++ {
-				s.RMW(p, c, 0x200, func(v uint64) (uint64, bool) { return v + 1, true })
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("c%d", c), simtest.Repeat(perCore, func(int) simtest.Op { return rmw(s, c, 0x200, incr, nil) }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -175,40 +194,30 @@ func TestRMWAtomicUnderContention(t *testing.T) {
 func TestCASSemantics(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x300, 10)
-	run1(t, eng, func(p *sim.Proc) {
-		cas := func(old, nv uint64) bool {
-			v := s.RMW(p, 0, 0x300, func(cur uint64) (uint64, bool) {
-				return nv, cur == old
-			})
-			return v == old
-		}
-		if !cas(10, 11) {
-			t.Error("CAS(10,11) failed on matching value")
-		}
-		if cas(10, 12) {
-			t.Error("CAS(10,12) succeeded on stale value")
-		}
-		if s.Peek(0x300) != 11 {
-			t.Errorf("value = %d, want 11", s.Peek(0x300))
-		}
-	})
+	cas := func(old, nv uint64, want bool) simtest.Op {
+		return rmw(s, 0, 0x300, func(cur uint64) (uint64, bool) { return nv, cur == old }, func(v uint64) {
+			if (v == old) != want {
+				t.Errorf("CAS(%d,%d) swapped = %v, want %v", old, nv, v == old, want)
+			}
+		})
+	}
+	run1(t, eng, cas(10, 11, true), cas(10, 12, false))
+	if s.Peek(0x300) != 11 {
+		t.Errorf("value = %d, want 11", s.Peek(0x300))
+	}
 }
 
 func TestSpinUntilWakesOnWrite(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x400, 0)
 	var sawAt sim.Time
-	eng.Go("spinner", func(p *sim.Proc) {
-		v := s.SpinUntil(p, 1, 0x400, func(v uint64) bool { return v == 1 })
+	simtest.Seq(eng, "spinner", spin(s, 1, 0x400, func(v uint64) bool { return v == 1 }, func(v uint64) {
 		if v != 1 {
 			t.Errorf("SpinUntil returned %d", v)
 		}
-		sawAt = p.Now()
-	})
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(1000)
-		s.Write(p, 2, 0x400, 1)
-	})
+		sawAt = eng.Now()
+	}))
+	simtest.Seq(eng, "writer", simtest.Sleep(eng, 1000), write(s, 2, 0x400, 1))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +232,18 @@ func TestSpinUntilWakesOnWrite(t *testing.T) {
 func TestSpinnerGeneratesNoTrafficWhileCached(t *testing.T) {
 	eng, s := newSys(t, 16)
 	s.Poke(0x500, 0)
-	eng.Go("spinner", func(p *sim.Proc) {
-		s.SpinUntil(p, 1, 0x500, func(v uint64) bool { return v == 1 })
-	})
-	eng.Go("observer", func(p *sim.Proc) {
-		p.Sleep(5000)
-		before := s.Stats.Transactions
-		p.Sleep(5000)
-		if d := s.Stats.Transactions - before; d != 0 {
-			t.Errorf("spinner generated %d transactions while cached", d)
-		}
-		s.Write(p, 2, 0x500, 1)
-	})
+	simtest.Seq(eng, "spinner", spin(s, 1, 0x500, func(v uint64) bool { return v == 1 }, nil))
+	var before uint64
+	simtest.Seq(eng, "observer",
+		simtest.Sleep(eng, 5000),
+		simtest.Do(func() { before = s.Stats.Transactions }),
+		simtest.Sleep(eng, 5000),
+		simtest.Do(func() {
+			if d := s.Stats.Transactions - before; d != 0 {
+				t.Errorf("spinner generated %d transactions while cached", d)
+			}
+		}),
+		write(s, 2, 0x500, 1))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,16 +257,10 @@ func TestReleaseStormSerializesAtDirectory(t *testing.T) {
 	s.Poke(0x600, 0)
 	var releases []sim.Time
 	for c := 1; c < 33; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("s%d", c), func(p *sim.Proc) {
-			s.SpinUntil(p, c, 0x600, func(v uint64) bool { return v == 1 })
-			releases = append(releases, p.Now())
-		})
+		simtest.Seq(eng, fmt.Sprintf("s%d", c), spin(s, c, 0x600, func(v uint64) bool { return v == 1 },
+			func(uint64) { releases = append(releases, eng.Now()) }))
 	}
-	eng.Go("writer", func(p *sim.Proc) {
-		p.Sleep(2000)
-		s.Write(p, 0, 0x600, 1)
-	})
+	simtest.Seq(eng, "writer", simtest.Sleep(eng, 2000), write(s, 0, 0x600, 1))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,16 +292,11 @@ func TestTreeBroadcastSpeedsInvalidation(t *testing.T) {
 		s := New(eng, mesh, p)
 		s.Poke(0x700, 0)
 		for c := 1; c < 64; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("r%d", c), func(p *sim.Proc) { s.Read(p, c, 0x700) })
+			simtest.Seq(eng, fmt.Sprintf("r%d", c), read(s, c, 0x700, nil))
 		}
-		var lat sim.Time
-		eng.Go("w", func(p *sim.Proc) {
-			p.Sleep(3000)
-			start := p.Now()
-			s.Write(p, 0, 0x700, 1)
-			lat = p.Now() - start
-		})
+		var start, lat sim.Time
+		simtest.Seq(eng, "w", simtest.Sleep(eng, 3000), simtest.Do(func() { start = eng.Now() }),
+			write(s, 0, 0x700, 1), simtest.Do(func() { lat = eng.Now() - start }))
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -315,11 +313,7 @@ func TestL1EvictionRespectsAssociativity(t *testing.T) {
 	// Touch L1Ways+2 lines mapping to the same set.
 	p := s.Params()
 	stride := uint64(p.L1Sets) << LineShift
-	run1(t, eng, func(pr *sim.Proc) {
-		for i := uint64(0); i < uint64(p.L1Ways+2); i++ {
-			s.Read(pr, 0, i*stride)
-		}
-	})
+	run1(t, eng, simtest.Repeat(p.L1Ways+2, func(i int) simtest.Op { return read(s, 0, uint64(i)*stride, nil) }))
 	if s.Stats.Evictions != 2 {
 		t.Errorf("Evictions = %d, want 2", s.Stats.Evictions)
 	}
@@ -332,29 +326,26 @@ func TestEvictedDirtyLineReturnsHome(t *testing.T) {
 	eng, s := newSys(t, 16)
 	p := s.Params()
 	stride := uint64(p.L1Sets) << LineShift
-	run1(t, eng, func(pr *sim.Proc) {
-		s.Write(pr, 0, 0, 123)
+	run1(t, eng,
+		write(s, 0, 0, 123),
 		// Force eviction of line 0 by filling the set.
-		for i := uint64(1); i <= uint64(p.L1Ways); i++ {
-			s.Read(pr, 0, i*stride)
-		}
-		if st := s.L1State(0, 0); st != Invalid {
-			t.Errorf("dirty line still present: %v", st)
-		}
+		simtest.Repeat(p.L1Ways, func(i int) simtest.Op { return read(s, 0, uint64(i+1)*stride, nil) }),
+		simtest.Do(func() {
+			if st := s.L1State(0, 0); st != Invalid {
+				t.Errorf("dirty line still present: %v", st)
+			}
+		}),
 		// Another core reads it; data must come from home, value intact.
-		if v := s.Read(pr, 5, 0); v != 123 {
-			t.Errorf("value after dirty eviction = %d, want 123", v)
-		}
-	})
+		read(s, 5, 0, func(v uint64) {
+			if v != 123 {
+				t.Errorf("value after dirty eviction = %d, want 123", v)
+			}
+		}))
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestRandomizedVsReferenceMemory drives random reads/writes/RMWs from many
-// cores and checks full value agreement with a sequential reference at the
-// end, plus protocol invariants. This is the core property test for the
-// coherence substrate.
 func TestRandomizedVsReferenceMemory(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		eng := sim.NewEngine(uint64(1000 + trial))
@@ -369,22 +360,21 @@ func TestRandomizedVsReferenceMemory(t *testing.T) {
 		}
 		var sum [16]uint64
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
-				rng := sim.NewRand(uint64(c*977 + trial))
-				for op := 0; op < 200; op++ {
+			rng := sim.NewRand(uint64(c*977 + trial))
+			simtest.Seq(eng, fmt.Sprintf("c%d", c), simtest.Repeat(200, func(int) simtest.Op {
+				return func(next func()) {
+					pause := func() { eng.SleepThen(sim.Time(rng.Intn(20)), next) }
 					a := addrs[rng.Intn(nAddrs)]
 					switch rng.Intn(3) {
 					case 0:
-						sum[c] += s.Read(p, c, a)
+						s.Read(c, a, func(v uint64) { sum[c] += v; pause() })
 					case 1:
-						s.Write(p, c, a, rng.Uint64()%1000)
+						s.Write(c, a, rng.Uint64()%1000, pause)
 					case 2:
-						s.RMW(p, c, a, func(v uint64) (uint64, bool) { return v + 1, true })
+						s.RMW(c, a, incr, func(uint64) { pause() })
 					}
-					p.Sleep(sim.Time(rng.Intn(20)))
 				}
-			})
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -395,14 +385,14 @@ func TestRandomizedVsReferenceMemory(t *testing.T) {
 		// Quiesced: every core must observe the same final value for
 		// every address when reading through the protocol.
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("check%d", c), func(p *sim.Proc) {
-				for _, a := range addrs {
-					if v, want := s.Read(p, c, a), s.Peek(a); v != want {
+			simtest.Seq(eng, fmt.Sprintf("check%d", c), simtest.Repeat(nAddrs, func(i int) simtest.Op {
+				a := addrs[i]
+				return read(s, c, a, func(v uint64) {
+					if want := s.Peek(a); v != want {
 						t.Errorf("trial %d: core %d reads %d at %#x, want %d", trial, c, v, a, want)
 					}
-				}
-			})
+				})
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -420,15 +410,13 @@ func TestIncrementsNeverLost(t *testing.T) {
 	}
 	const opsPerCore = 50
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("c%d", c), func(p *sim.Proc) {
-			rng := sim.NewRand(uint64(c + 7))
-			for i := 0; i < opsPerCore; i++ {
+		rng := sim.NewRand(uint64(c + 7))
+		simtest.Seq(eng, fmt.Sprintf("c%d", c), simtest.Repeat(opsPerCore, func(int) simtest.Op {
+			return func(next func()) {
 				a := addrs[rng.Intn(len(addrs))]
-				s.RMW(p, c, a, func(v uint64) (uint64, bool) { return v + 1, true })
-				p.Sleep(sim.Time(rng.Intn(10)))
+				s.RMW(c, a, incr, func(uint64) { eng.SleepThen(sim.Time(rng.Intn(10)), next) })
 			}
-		})
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -449,20 +437,11 @@ func TestHotLinePingPongCost(t *testing.T) {
 	s.Poke(0x800, 0)
 	var finish sim.Time
 	const n = 50
-	eng.Go("a", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			s.RMW(p, 0, 0x800, func(v uint64) (uint64, bool) { return v + 1, true })
-		}
-		finish = p.Now()
-	})
-	eng.Go("b", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			s.RMW(p, 63, 0x800, func(v uint64) (uint64, bool) { return v + 1, true })
-		}
-		if p.Now() > finish {
-			finish = p.Now()
-		}
-	})
+	for _, c := range []int{0, 63} {
+		simtest.Seq(eng, fmt.Sprintf("c%d", c),
+			simtest.Repeat(n, func(int) simtest.Op { return rmw(s, c, 0x800, incr, nil) }),
+			simtest.Do(func() { finish = max(finish, eng.Now()) }))
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +450,6 @@ func TestHotLinePingPongCost(t *testing.T) {
 	}
 	perOp := finish / (2 * n)
 	if perOp < 20 {
-		t.Errorf("per-op cost %d cycles is implausibly cheap for ping-pong", perOp)
+		t.Errorf("per-simtest.Op cost %d cycles is implausibly cheap for ping-pong", perOp)
 	}
 }

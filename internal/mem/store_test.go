@@ -5,6 +5,7 @@ import (
 
 	"wisync/internal/noc"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 func TestPagedStoreDenseAndSparse(t *testing.T) {
@@ -59,11 +60,10 @@ func TestSystemSparseAddressFallback(t *testing.T) {
 		t.Fatalf("Peek(sparse) = %d, want 99", got)
 	}
 	var got, got2 uint64
-	eng.Go("r", func(p *sim.Proc) {
-		got = s.Read(p, 0, sparseAddr)
-		s.Write(p, 1, sparseAddr, 123)
-		got2 = s.Read(p, 1, sparseAddr)
-	})
+	simtest.Seq(eng, "r",
+		read(s, 0, sparseAddr, func(v uint64) { got = v }),
+		write(s, 1, sparseAddr, 123),
+		read(s, 1, sparseAddr, func(v uint64) { got2 = v }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // TestAsyncResourceMirrorsBlockingResource drives a contention scenario
-// through the AsyncResource (continuations) and asserts the grant/release
-// trace is the one the blocking, process-based Resource produced: same
-// holders, in the same order, at the same cycles. This is the equivalence
-// the continuation rewrite of the protocol models rests on.
+// through the continuation-form Resource and asserts the grant/release
+// trace is the one recorded from the earlier blocking, process-based
+// resource: same holders, in the same order, at the same cycles. This is
+// the equivalence the continuation rewrite of the protocol models rests
+// on.
 func TestAsyncResourceMirrorsBlockingResource(t *testing.T) {
 	// Each worker: arrive at its own offset, acquire, hold for a worker-
 	// specific time, release, and repeat. Offsets force every flavor of
@@ -20,33 +21,10 @@ func TestAsyncResourceMirrorsBlockingResource(t *testing.T) {
 	arrival := func(w, r int) Time { return Time(w*3 + r*17) }
 	holdFor := func(w, r int) Time { return Time(5 + (w+r)%7) }
 
-	blocking := func() []string {
+	got := func() []string {
 		var trace []string
 		e := NewEngine(1)
 		var res Resource
-		for w := 0; w < workers; w++ {
-			w := w
-			e.Go(fmt.Sprintf("w%d", w), func(p *Proc) {
-				for r := 0; r < rounds; r++ {
-					p.SleepUntil(arrival(w, r))
-					res.Acquire(p, "res")
-					trace = append(trace, fmt.Sprintf("grant w%d@%d", w, e.Now()))
-					p.Sleep(holdFor(w, r))
-					trace = append(trace, fmt.Sprintf("release w%d@%d", w, e.Now()))
-					res.Release(p)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return append(trace, fmt.Sprintf("busy=%d", res.BusyCycles))
-	}()
-
-	async := func() []string {
-		var trace []string
-		e := NewEngine(1)
-		var res AsyncResource
 		for w := 0; w < workers; w++ {
 			w := w
 			r := 0
@@ -85,38 +63,35 @@ func TestAsyncResourceMirrorsBlockingResource(t *testing.T) {
 		"grant w0@120", "release w0@128", "grant w1@128", "release w1@137", "grant w2@137", "release w2@147",
 		"grant w3@147", "release w3@158", "grant w4@158", "release w4@163", "busy=163",
 	}
-	if !reflect.DeepEqual(blocking, want) {
-		t.Errorf("blocking grant trace diverged from the reference:\n got: %v\nwant: %v", blocking, want)
-	}
-	if !reflect.DeepEqual(async, want) {
-		t.Errorf("grant trace diverged from the blocking reference:\n got: %v\nwant: %v", async, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("grant trace diverged from the blocking reference:\n got: %v\nwant: %v", got, want)
 	}
 }
 
-// TestAsyncWaitQueueFIFO checks wake order and delays of the continuation
-// wait queue against the documented FIFO contract.
+// TestAsyncWaitQueueFIFO checks wake order and delays of the wait queue's
+// continuations against the documented FIFO contract.
 func TestAsyncWaitQueueFIFO(t *testing.T) {
 	e := NewEngine(1)
-	var q AsyncWaitQueue
+	var q WaitQueue
 	var got []string
 	note := func(tag string) func() {
 		return func() { got = append(got, fmt.Sprintf("%s@%d", tag, e.Now())) }
 	}
-	q.Wait(note("a"))
-	q.Wait(note("b"))
-	q.Wait(note("c"))
+	q.Wait(e, note("a"))
+	q.Wait(e, note("b"))
+	q.Wait(e, note("c"))
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
 	e.Schedule(10, func() {
-		if !q.WakeOne(e, 2) {
+		if !q.WakeOne(2) {
 			t.Error("WakeOne found no waiter")
 		}
-		q.WakeAll(e, 5)
+		q.WakeAll(5)
 	})
 	e.Schedule(30, func() {
-		q.Wait(note("d")) // reuse after drain: backing array is recycled
-		q.WakeAll(e, 0)
+		q.Wait(e, note("d")) // reuse after drain: backing array is recycled
+		q.WakeAll(0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -128,7 +103,7 @@ func TestAsyncWaitQueueFIFO(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("Len = %d after drain, want 0", q.Len())
 	}
-	if q.WakeOne(e, 0) {
+	if q.WakeOne(0) {
 		t.Error("WakeOne on empty queue reported a wake")
 	}
 }
@@ -137,9 +112,9 @@ func TestAsyncWaitQueueFIFO(t *testing.T) {
 func TestAsyncResourcePanicsOnFreeRelease(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Release of a free AsyncResource did not panic")
+			t.Fatal("Release of a free Resource did not panic")
 		}
 	}()
-	var res AsyncResource
+	var res Resource
 	res.Release(NewEngine(1))
 }

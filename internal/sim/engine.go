@@ -1,5 +1,5 @@
 // Package sim implements a deterministic, single-threaded discrete-event
-// simulation engine with cooperative processes.
+// simulation engine.
 //
 // # Execution model
 //
@@ -7,90 +7,33 @@
 // (time, priority, sequence) order, so identical inputs always produce
 // identical simulations. Events live in a two-level queue (see "Timing
 // wheel" below); scheduling one is an append into a reused slice, never a
-// per-event heap allocation. Hardware models are written in one of two
-// styles:
+// per-event heap allocation. Every event is a plain callback
+// (Schedule/ScheduleAt) that the engine invokes inline from its run loop:
+// one event costs a queue push, a pop, and a function call, and a whole
+// simulation runs on the goroutine that called Run.
 //
-//   - Callback events (Schedule/ScheduleAt): plain functions the engine
-//     invokes inline from its run loop. This is the fast path — one event
-//     costs a heap push, a pop, and a function call.
+// Hardware models and workload threads are written as continuation
+// chains. A multi-step protocol transaction (request flight, queueing,
+// hold, reply) schedules each next step as a callback event; a model that
+// must wait on a condition parks a completion callback on a WaitQueue, or
+// on a Resource for FIFO mutual exclusion (syncutil.go). A workload
+// thread is a Task (task.go): it is spawned with GoTask, advances
+// exclusively through completion callbacks (SleepThen, the hardware
+// models' operations, WaitQueue.Wait), and retires with Finish. Every
+// suspension consumes exactly one event sequence number, at the point
+// the model suspends, so the step after it runs at a fixed
+// (time, priority, sequence) position. The golden-conformance suites in
+// package harness pin the resulting schedule end to end.
 //
-//   - Processes (Go): goroutines with blocking control flow (Sleep, Park,
-//     Resource.Acquire) for models whose logic does not flatten naturally
-//     into callbacks — OS cases, multi-step protocol transactions. Exactly
-//     one process runs at a time, enforced by a single control token.
-//
-// Process switches ride the Go scheduler, which makes them ~100x more
-// expensive than callbacks, so the engine avoids them at three levels:
-//
-//  1. Zero-handoff Sleep: when a sleeping process's own wake-up would be
-//     the very next event popped (nothing precedes it in the (time,
-//     priority, sequence) order), the process advances the clock inline
-//     and keeps running without parking. Chains of Sleeps with no
-//     interleaved foreign events therefore cost one function call each
-//     instead of two channel sends and a scheduler round trip. The fast
-//     path is bounded by the run horizon (RunUntil's limit), so a process
-//     can never advance the clock past the window the caller asked for.
-//
-//  2. Direct baton passing: a process that must block runs the scheduler
-//     loop itself (runEvents), executing callback events inline and
-//     handing the token straight to the next process over its resume
-//     channel — one rendezvous per switch instead of two, because the
-//     engine goroutine stays parked while processes pass control among
-//     themselves.
-//
-//  3. Self-dispatch: if the blocking process pops its own wake-up (an
-//     inline callback — an arbiter grant, an invalidation — re-woke it),
-//     it just keeps running; no channel operation at all.
-//
-// All three are order-preserving by construction: they only short-circuit
-// the exact dispatch the event queue would have performed next, so results
-// are bit-identical to a naive engine-centric loop.
-//
-// # Continuations
-//
-// Multi-step protocol transactions used to be the stronghold of the
-// process style: a directory transaction sleeps several times (request
-// flight, queueing, hold, reply), and under contention every one of those
-// sleeps is a forced process switch. Such models are instead written as
-// engine-scheduled continuation chains: each suspension schedules the next
-// step as a plain callback event, and the initiating process — which must
-// suspend anyway, because its thread is architecturally stalled — parks
-// once and is dispatched directly by the chain's final reply event.
-// AsyncWaitQueue and AsyncResource (async.go) are the continuation mirrors
-// of WaitQueue and Resource for blocking inside such chains, and
-// wireless.Network.SendAsync/SendParked are the channel's equivalents.
-//
-// The two styles compose bit-identically by construction, so a model can
-// be converted from blocking to continuation form without moving a single
-// simulated result: every blocking suspension consumes exactly one event
-// sequence number at the point it blocks (Sleep and Wake schedule one
-// dispatch; a free Acquire and a busy enqueue schedule none), and the
-// mirrors consume sequence numbers at the same execution points, so every
-// step of the converted model runs at exactly the same (time, priority,
-// sequence) position as the blocking original — only on the engine-driving
-// goroutine rather than its own. The golden-conformance suite in package
-// harness pins this equivalence end to end.
-//
-// # Tasks
-//
-// Workload threads can run in the same continuation form. A Task (task.go)
-// is the goroutine-free counterpart of a Proc: it is spawned with GoTask at
-// the same sequence position as Go, advances exclusively through completion
-// callbacks (SleepThen, the async hardware-model mirrors, WaitQueue.WaitFn),
-// and retires with Finish. A workload of Tasks runs entirely on the
-// goroutine driving the engine — zero process switches — while consuming
-// sequence numbers at exactly the points its blocking twin would, so the
-// two execution modes are interchangeable without moving a simulated
-// result.
-//
-// Continuation chains get the same inline collapse Sleep enjoys: SleepThen
-// has a zero-handoff fast path that, when the continuation would be the
-// very next event popped, skips the event queue entirely — the clock
+// SleepThen has a zero-handoff fast path: when the continuation would be
+// the very next event popped, no event is pushed at all — the clock
 // advances inline and the continuation lands in the engine's trampoline
 // slot (cont), which the scheduler loop drains after each callback event.
 // The trampoline keeps arbitrarily long uncontended chains at constant
 // stack depth: each continuation returns to the scheduler before the next
-// one runs, so continuation-form loops never recurse.
+// one runs, so continuation-form loops never recurse. The fast path only
+// short-circuits the exact dispatch the event queue would have performed
+// next, so results are bit-identical to always pushing the event.
 //
 // # Timing wheel
 //
@@ -154,20 +97,17 @@ type Engine struct {
 	now Time
 	q   eventQueue
 	seq uint64
-	// limit is the inclusive ceiling for the Sleep fast path: a process
-	// may only self-advance the clock to times t <= limit, the horizon of
-	// the innermost Run/RunUntil (matching runEvents' pop condition).
-	limit   Time
-	rng     *Rand
-	handoff chan struct{}
-	procs   map[*Proc]struct{}
-	tasks   map[*Task]struct{}
+	// limit is the inclusive ceiling for the SleepThen fast path: a
+	// continuation may only self-advance the clock to times t <= limit,
+	// the horizon of the innermost Run/RunUntil (matching runEvents' pop
+	// condition).
+	limit Time
+	rng   *Rand
+	tasks map[*Task]struct{}
 	// cont is the trampoline slot for the SleepThen fast path: a
 	// continuation that must run immediately after the current event, at
 	// constant stack depth. runEvents drains it after every callback event.
 	cont    func()
-	pv      any
-	pstack  []byte
 	stopped bool
 	// sh is the sharded local-event store (shard.go), nil in the default
 	// unsharded engine. Core-local timers routed through LocalSleepThen
@@ -183,21 +123,17 @@ type Engine struct {
 // NewEngine returns an engine whose random stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:     NewRand(seed),
-		limit:   maxTime,
-		handoff: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
-		tasks:   make(map[*Task]struct{}),
+		rng:   NewRand(seed),
+		limit: maxTime,
+		tasks: make(map[*Task]struct{}),
 	}
 }
 
 // SchedStats are the engine's scheduling-internals counters: how events were
 // stored (timing wheel vs heap fallback) and how the workload layers'
 // recycled continuation steps were obtained (pool reuse vs fresh
-// allocation). They describe simulator mechanics, not simulated behavior —
-// two execution modes of the same workload produce identical simulated
-// results but different SchedStats — and exist so sweeps are diagnosable
-// without a profiler (wisync-bench -v).
+// allocation). They describe simulator mechanics, not simulated behavior,
+// and exist so sweeps are diagnosable without a profiler (wisync-bench -v).
 type SchedStats struct {
 	// WheelEvents counts events stored in the timing wheel (scheduled
 	// within wheelSpan cycles of the clock).
@@ -288,22 +224,10 @@ func (e *Engine) ScheduleAt(t Time, prio Priority, fn func()) {
 	e.q.push(event{t: t, key: key, fn: fn}, e.now)
 }
 
-// scheduleProc enqueues a dispatch of p after d cycles. Unlike Schedule it
-// captures no closure: the event record carries the process pointer, so the
-// Sleep/Wake hot path is allocation-free.
-func (e *Engine) scheduleProc(d Time, p *Proc) {
-	t := e.now + d
-	if t < e.now {
-		panic(fmt.Sprintf("sim: wake of %s after %d cycles overflows the clock", p.name, d))
-	}
-	e.seq++
-	e.q.push(event{t: t, key: e.seq, p: p}, e.now)
-}
-
-// DeadlockError reports that the event queue drained while processes were
-// still parked, i.e. the simulated system deadlocked.
+// DeadlockError reports that the event queue drained while tasks were still
+// unfinished, i.e. the simulated system deadlocked.
 type DeadlockError struct {
-	// Parked lists "name: reason" for every stuck process.
+	// Parked lists "name: reason" for every stuck task.
 	Parked []string
 	// Now is the simulated time at which the queue drained.
 	Now Time
@@ -314,20 +238,12 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until none remain. It returns a *DeadlockError if
-// processes are still alive afterwards, and propagates any panic raised
-// inside a process.
+// tasks are still unfinished afterwards. A panic raised by an event
+// propagates to the caller.
 func (e *Engine) Run() error {
 	e.limit = maxTime
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.rethrow()
-		}
-	}
-	if e.pv != nil {
-		e.rethrow()
-	}
-	return e.checkDeadlock()
+	e.runEvents()
+	return e.CheckDeadlock()
 }
 
 // RunBounded executes all events with timestamp <= t but, unlike RunUntil,
@@ -336,141 +252,69 @@ func (e *Engine) Run() error {
 // completes mid-chunk finishes at exactly the same cycle an unchunked Run
 // would have — event order and final time are bit-identical by
 // construction.
-func (e *Engine) RunBounded(t Time) error {
+func (e *Engine) RunBounded(t Time) {
 	e.limit = t
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.limit = maxTime
-			e.rethrow()
-		}
-	}
+	e.runEvents()
 	e.limit = maxTime
-	return nil
 }
 
 // RunUntil executes all events with timestamp <= t, then advances the clock
-// to t. Processes still running are left parked; call Shutdown to reclaim
-// their goroutines.
-func (e *Engine) RunUntil(t Time) error {
-	e.limit = t
-	for e.runEvents(nil) == tokenPassed {
-		<-e.handoff
-		if e.pv != nil {
-			e.limit = maxTime
-			e.rethrow()
-		}
-	}
-	e.limit = maxTime
+// to t. Tasks still running are left unfinished; call Shutdown to retire
+// them.
+func (e *Engine) RunUntil(t Time) {
+	e.RunBounded(t)
 	if e.now < t {
 		e.now = t
 	}
-	return nil
 }
 
-// tokenState reports where the control token went after a runEvents call.
-type tokenState uint8
-
-const (
-	// tokenDone: the caller keeps the token — the queue is drained, the
-	// next event lies past the run horizon, or a process panic is pending
-	// and must travel to the engine for rethrow.
-	tokenDone tokenState = iota
-	// tokenPassed: the token was handed to another process over its resume
-	// channel; the caller must block until woken.
-	tokenPassed
-	// tokenSelf: the next event was the calling process's own wake-up; the
-	// caller keeps the token and simply continues running.
-	tokenSelf
-)
-
-// runEvents is the scheduler loop. The caller must hold the control token:
-// exactly one goroutine — the engine's, or that of a process that is about
-// to block — executes engine code at any instant, so no locking is needed
-// anywhere in the simulator.
-//
-// Callback events are run inline on the caller's goroutine. When a process
-// must run, the token is handed directly over its resume channel: direct
-// proc-to-proc baton passing makes a context switch one channel rendezvous
-// instead of two, because the engine goroutine stays parked while processes
-// pass control among themselves. self is the calling process (nil for the
-// engine loop); popping self's own wake-up returns tokenSelf instead of
-// deadlocking on a send-to-self, and costs no channel operation at all.
-func (e *Engine) runEvents(self *Proc) tokenState {
+// runEvents is the scheduler loop: it pops and runs events up to the run
+// horizon, draining the SleepThen trampoline after each one. Exactly one
+// goroutine — the one driving the engine — executes engine code, so no
+// locking is needed anywhere in the simulator.
+func (e *Engine) runEvents() {
 	for {
-		if e.pv != nil {
-			return tokenDone
-		}
 		// Sharded mode: dispatch the earliest local event whenever it
-		// precedes the global queue head. Local events are plain callbacks
-		// (never process dispatches), so the proc logic below is untouched.
+		// precedes the global queue head.
 		if e.sh != nil && e.sh.qCount+e.sh.outCount != 0 && e.dispatchLocal() {
 			continue
 		}
 		head := e.q.first()
 		if head == nil || head.t > e.limit {
-			return tokenDone
+			return
 		}
 		ev := e.q.pop()
 		e.now = ev.t
-		if ev.p == nil {
-			ev.fn()
-			// Trampoline: drain continuations parked by the SleepThen
-			// fast path. Each runs with the stack already unwound to
-			// here, so continuation-form loops never recurse.
-			for e.cont != nil {
-				fn := e.cont
-				e.cont = nil
-				fn()
-			}
-			continue
+		ev.fn()
+		// Trampoline: drain continuations parked by the SleepThen fast
+		// path. Each runs with the stack already unwound to here, so
+		// continuation-form loops never recurse.
+		for e.cont != nil {
+			fn := e.cont
+			e.cont = nil
+			fn()
 		}
-		p := ev.p
-		if p.done || p.killed {
-			continue
-		}
-		if !p.parked {
-			panic("sim: dispatch of a process that is not parked (double wake?)")
-		}
-		p.parked = false
-		p.wakeQueued = false
-		if p == self {
-			return tokenSelf
-		}
-		p.resume <- struct{}{}
-		return tokenPassed
 	}
 }
 
-func (e *Engine) rethrow() {
-	pv, st := e.pv, e.pstack
-	e.pv, e.pstack = nil, nil
-	panic(fmt.Sprintf("sim: process panic: %v\n%s", pv, st))
-}
-
-func (e *Engine) checkDeadlock() error {
-	if len(e.procs) == 0 && len(e.tasks) == 0 {
+// CheckDeadlock reports a *DeadlockError if any task is still unfinished,
+// and nil otherwise. Run calls it automatically when the queue drains;
+// watchdog/budget guards call it explicitly after RunUntil to tell a
+// genuine deadlock (queue empty, tasks parked) from a livelock or budget
+// overrun (events still flowing).
+func (e *Engine) CheckDeadlock() error {
+	if len(e.tasks) == 0 {
 		return nil
 	}
 	return &DeadlockError{Parked: e.Breadcrumbs(), Now: e.now}
 }
 
-// CheckDeadlock reports a *DeadlockError if any process or task is still
-// alive, and nil otherwise. Run calls it automatically when the queue
-// drains; watchdog/budget guards call it explicitly after RunUntil to tell
-// a genuine deadlock (queue empty, threads parked) from a livelock or
-// budget overrun (events still flowing).
-func (e *Engine) CheckDeadlock() error { return e.checkDeadlock() }
-
-// Breadcrumbs returns one "name: reason" line per live process or task, in
+// Breadcrumbs returns one "name: reason" line per unfinished task, in
 // sorted order — the last-operation trail used in deadlock, livelock, and
 // budget diagnostics. It must be called before Shutdown, which clears the
-// live sets.
+// live set.
 func (e *Engine) Breadcrumbs() []string {
 	var parked []string
-	for p := range e.procs {
-		parked = append(parked, p.name+": "+p.reason)
-	}
 	for t := range e.tasks {
 		parked = append(parked, t.name+": "+t.reasonLine())
 	}
@@ -478,21 +322,10 @@ func (e *Engine) Breadcrumbs() []string {
 	return parked
 }
 
-// Shutdown terminates every live process goroutine (running their defers)
-// and marks the engine stopped. It must be called after RunUntil when
-// processes may still be alive, or the goroutines leak.
+// Shutdown retires every unfinished task and marks the engine stopped. It
+// is called after RunUntil, when open-ended workloads are still live.
 func (e *Engine) Shutdown() {
-	for p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.handoff
-	}
-	e.procs = make(map[*Proc]struct{})
 	e.tasks = make(map[*Task]struct{})
-	e.pv, e.pstack = nil, nil
 	if e.sh != nil {
 		e.sh.clearAll()
 	}
@@ -502,6 +335,6 @@ func (e *Engine) Shutdown() {
 // Stopped reports whether Shutdown has been called.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// Live returns the number of processes and tasks that have been started
-// and have not yet finished.
-func (e *Engine) Live() int { return len(e.procs) + len(e.tasks) }
+// Live returns the number of tasks that have been started and have not yet
+// finished.
+func (e *Engine) Live() int { return len(e.tasks) }

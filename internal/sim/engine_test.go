@@ -55,12 +55,15 @@ func TestSchedulePastPanics(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	e.Go("sleeper", func(p *Proc) {
-		times = append(times, p.Now())
-		p.Sleep(7)
-		times = append(times, p.Now())
-		p.Sleep(0)
-		times = append(times, p.Now())
+	e.GoTask("sleeper", func(task *Task) {
+		times = append(times, task.Now())
+		task.Sleep(7, func() {
+			times = append(times, task.Now())
+			task.Sleep(0, func() {
+				times = append(times, task.Now())
+				task.Finish()
+			})
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -74,10 +77,11 @@ func TestProcInterleaving(t *testing.T) {
 	e := NewEngine(1)
 	var got []string
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(i))
-			got = append(got, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
+		e.GoTask(fmt.Sprintf("p%d", i), func(task *Task) {
+			task.Sleep(Time(i), func() {
+				got = append(got, fmt.Sprintf("%s@%d", task.Name(), task.Now()))
+				task.Finish()
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -97,13 +101,16 @@ func TestDeterminism(t *testing.T) {
 		var log []string
 		var res Resource
 		for i := 0; i < 5; i++ {
-			i := i
-			e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-				p.Sleep(Time(e.Rand().Intn(4)))
-				res.Acquire(p, "res")
-				log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
-				p.Sleep(3)
-				res.Release(p)
+			e.GoTask(fmt.Sprintf("p%d", i), func(task *Task) {
+				task.Sleep(Time(e.Rand().Intn(4)), func() {
+					res.Acquire(e, func() {
+						log = append(log, fmt.Sprintf("%d@%d", i, task.Now()))
+						task.Sleep(3, func() {
+							res.Release(e)
+							task.Finish()
+						})
+					})
+				})
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -122,17 +129,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestParkWake parks a task on a wait queue and wakes it from another
+// task with a delay.
 func TestParkWake(t *testing.T) {
 	e := NewEngine(1)
-	var p1 *Proc
+	var q WaitQueue
 	var woke Time
-	p1 = e.Go("waiter", func(p *Proc) {
-		p.Park("waiting for signal")
-		woke = p.Now()
+	e.GoTask("waiter", func(task *Task) {
+		task.SetReason("waiting for signal")
+		q.Wait(e, func() {
+			woke = task.Now()
+			task.Finish()
+		})
 	})
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(20)
-		p1.Wake(5)
+	e.GoTask("waker", func(task *Task) {
+		task.Sleep(20, func() {
+			q.WakeOne(5)
+			task.Finish()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -144,7 +158,11 @@ func TestParkWake(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("stuck", func(p *Proc) { p.Park("never woken") })
+	var q WaitQueue
+	e.GoTask("stuck", func(task *Task) {
+		task.SetReason("never woken")
+		q.Wait(e, task.Finish)
+	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -156,62 +174,64 @@ func TestDeadlockDetection(t *testing.T) {
 	e.Shutdown()
 }
 
-func TestDoubleWakePanics(t *testing.T) {
+// TestDoubleFinishPanics pins the task bookkeeping check: finishing a task
+// twice is a bug in the caller.
+func TestDoubleFinishPanics(t *testing.T) {
 	e := NewEngine(1)
-	var p1 *Proc
-	p1 = e.Go("waiter", func(p *Proc) { p.Park("x") })
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(1)
-		p1.Wake(0)
+	e.GoTask("twice", func(task *Task) {
+		task.Finish()
 		defer func() {
 			if recover() == nil {
-				t.Error("double Wake did not panic")
+				t.Error("double Finish did not panic")
 			}
 		}()
-		p1.Wake(0)
+		task.Finish()
 	})
-	defer func() { recover() }()
-	_ = e.Run()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunUntilAndShutdown(t *testing.T) {
 	e := NewEngine(1)
 	var steps int
-	var cleaned bool
-	e.Go("worker", func(p *Proc) {
-		defer func() { cleaned = true }()
-		for {
-			p.Sleep(10)
+	e.GoTask("worker", func(task *Task) {
+		var step func()
+		step = func() {
 			steps++
+			task.Sleep(10, step)
 		}
+		task.Sleep(10, step)
 	})
-	if err := e.RunUntil(55); err != nil {
-		t.Fatal(err)
-	}
+	e.RunUntil(55)
 	if steps != 5 {
 		t.Fatalf("steps = %d, want 5", steps)
 	}
 	if e.Now() != 55 {
 		t.Fatalf("Now = %d, want 55", e.Now())
 	}
-	e.Shutdown()
-	if !cleaned {
-		t.Fatal("defer did not run on Shutdown")
+	if e.Live() != 1 {
+		t.Fatalf("Live = %d before Shutdown, want 1", e.Live())
 	}
+	e.Shutdown()
 	if e.Live() != 0 {
 		t.Fatalf("Live = %d after Shutdown", e.Live())
 	}
+	if !e.Stopped() {
+		t.Fatal("Stopped = false after Shutdown")
+	}
 }
 
+// TestProcPanicPropagates checks that a panic raised inside a task's
+// continuation reaches Run's caller unchanged.
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("bomb", func(p *Proc) {
-		p.Sleep(1)
-		panic("boom")
+	e.GoTask("bomb", func(task *Task) {
+		task.Sleep(1, func() { panic("boom") })
 	})
 	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate")
+		if r := recover(); r != "boom" {
+			t.Errorf("recovered %v, want the task's panic value", r)
 		}
 	}()
 	_ = e.Run()
@@ -222,15 +242,16 @@ func TestWaitQueue(t *testing.T) {
 	var q WaitQueue
 	var order []string
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(i)) // deterministic enqueue order
-			q.Wait(p, "queued")
-			order = append(order, p.Name())
+		e.GoTask(fmt.Sprintf("w%d", i), func(task *Task) {
+			task.Sleep(Time(i), func() { // deterministic enqueue order
+				q.Wait(e, func() {
+					order = append(order, task.Name())
+					task.Finish()
+				})
+			})
 		})
 	}
-	e.Go("waker", func(p *Proc) {
-		p.Sleep(10)
+	e.Schedule(10, func() {
 		if q.Len() != 3 {
 			t.Errorf("Len = %d, want 3", q.Len())
 		}
@@ -247,27 +268,26 @@ func TestWaitQueue(t *testing.T) {
 	}
 }
 
-func TestWaitQueueWakeOneAndRemove(t *testing.T) {
+func TestWaitQueueWakeOne(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	var woken []string
-	procs := make([]*Proc, 3)
 	for i := 0; i < 3; i++ {
-		i := i
-		procs[i] = e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(i))
-			q.Wait(p, "queued")
-			woken = append(woken, p.Name())
+		e.GoTask(fmt.Sprintf("w%d", i), func(task *Task) {
+			task.Sleep(Time(i), func() {
+				q.Wait(e, func() {
+					woken = append(woken, fmt.Sprintf("%s@%d", task.Name(), task.Now()))
+					task.Finish()
+				})
+			})
 		})
 	}
-	e.Go("ctl", func(p *Proc) {
-		p.Sleep(10)
-		if !q.Remove(procs[0]) {
-			t.Error("Remove(w0) = false")
-		}
-		procs[0].Wake(0) // removed waiters must be woken manually
-		q.WakeOne(0)     // wakes w1
-		q.WakeOne(0)     // wakes w2
+	e.Schedule(10, func() {
+		q.WakeOne(0) // wakes w0
+		q.WakeOne(2) // wakes w1
+	})
+	e.Schedule(20, func() {
+		q.WakeOne(0) // wakes w2
 		if q.WakeOne(0) {
 			t.Error("WakeOne on empty queue = true")
 		}
@@ -275,7 +295,7 @@ func TestWaitQueueWakeOneAndRemove(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"w0", "w1", "w2"}
+	want := []string{"w0@10", "w1@12", "w2@20"}
 	for i := range want {
 		if woken[i] != want[i] {
 			t.Fatalf("woken = %v, want %v", woken, want)
@@ -288,13 +308,16 @@ func TestResourceFIFO(t *testing.T) {
 	var r Resource
 	var order []string
 	for i := 0; i < 4; i++ {
-		i := i
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(i)) // request order p0..p3
-			r.Acquire(p, "bank")
-			order = append(order, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
-			p.Sleep(10)
-			r.Release(p)
+		e.GoTask(fmt.Sprintf("p%d", i), func(task *Task) {
+			task.Sleep(Time(i), func() { // request order p0..p3
+				r.Acquire(e, func() {
+					order = append(order, fmt.Sprintf("%s@%d", task.Name(), task.Now()))
+					task.Sleep(10, func() {
+						r.Release(e)
+						task.Finish()
+					})
+				})
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -311,25 +334,34 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
+// TestResourceReleaseByNonOwnerPanics checks that releasing a resource
+// nobody holds — what a non-owner's Release amounts to once the holder has
+// released — panics.
 func TestResourceReleaseByNonOwnerPanics(t *testing.T) {
 	e := NewEngine(1)
 	var r Resource
-	e.Go("owner", func(p *Proc) {
-		r.Acquire(p, "res")
-		p.Sleep(5)
-		r.Release(p)
+	e.GoTask("owner", func(task *Task) {
+		r.Acquire(e, func() {
+			task.Sleep(5, func() {
+				r.Release(e)
+				task.Finish()
+			})
+		})
 	})
-	e.Go("thief", func(p *Proc) {
-		p.Sleep(1)
-		defer func() {
-			if recover() == nil {
-				t.Error("Release by non-owner did not panic")
-			}
-		}()
-		r.Release(p)
+	e.GoTask("thief", func(task *Task) {
+		task.Sleep(6, func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Release of a free resource did not panic")
+				}
+			}()
+			task.Finish()
+			r.Release(e)
+		})
 	})
-	defer func() { recover() }()
-	_ = e.Run()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRandDeterministic(t *testing.T) {
@@ -388,7 +420,7 @@ func TestForkIndependentStreams(t *testing.T) {
 	}
 }
 
-// TestManyProcsStress runs a few hundred processes through a contended
+// TestManyProcsStress runs a few hundred tasks through a contended
 // resource to shake out handoff bugs.
 func TestManyProcsStress(t *testing.T) {
 	e := NewEngine(99)
@@ -396,12 +428,16 @@ func TestManyProcsStress(t *testing.T) {
 	var count int
 	const n = 300
 	for i := 0; i < n; i++ {
-		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
-			p.Sleep(Time(e.Rand().Intn(50)))
-			r.Acquire(p, "res")
-			p.Sleep(1)
-			count++
-			r.Release(p)
+		e.GoTask(fmt.Sprintf("p%d", i), func(task *Task) {
+			task.Sleep(Time(e.Rand().Intn(50)), func() {
+				r.Acquire(e, func() {
+					task.Sleep(1, func() {
+						count++
+						r.Release(e)
+						task.Finish()
+					})
+				})
+			})
 		})
 	}
 	if err := e.Run(); err != nil {

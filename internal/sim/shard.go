@@ -31,9 +31,8 @@ import (
 //   - The dispatch loop (dispatchLocal) only ever runs the minimum of
 //     that union: the cached shard minimum (minT, minKey) is compared
 //     against the global queue head before every local dispatch, and the
-//     Sleep/SleepThen zero-handoff fast paths gain one guard so a process
-//     or continuation can never self-advance the clock past a queued
-//     local event.
+//     SleepThen zero-handoff fast path gains one guard so a continuation
+//     can never self-advance the clock past a queued local event.
 //
 //   - Shard workers only move and sort event records; payloads always run
 //     serially on the dispatching goroutine. A drain round fires on a

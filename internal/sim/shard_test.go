@@ -7,9 +7,10 @@ import (
 
 // shardOracleTrace drives one engine through a deterministic pseudo-random
 // mix of core-local timers (LocalSleepThen), global callback events at both
-// priorities, blocking processes and rng draws, and records the dispatch
-// trace. The workload is rng-steered, so any ordering divergence between
-// shard counts snowballs into a trace mismatch within a few events.
+// priorities, tasks sleeping on the global queue and rng draws, and
+// records the dispatch trace. The workload is rng-steered, so any ordering
+// divergence between shard counts snowballs into a trace mismatch within a
+// few events.
 func shardOracleTrace(t *testing.T, shards, cores, steps int) ([]string, SchedStats) {
 	t.Helper()
 	eng := NewEngine(7)
@@ -42,15 +43,25 @@ func shardOracleTrace(t *testing.T, shards, cores, steps int) ([]string, SchedSt
 		c := c
 		eng.ScheduleAt(Time(c%13), PrioNormal, chain(c, 0))
 	}
-	// Blocking processes exercise the Sleep fast-path guard and the
-	// proc-dispatch interleaving against shard events.
+	// Tasks sleeping on the global queue exercise the SleepThen fast-path
+	// guard and the interleaving of global continuations with shard
+	// events.
 	for i := 0; i < 8; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("proc%d", i), func(p *Proc) {
-			for s := 0; s < steps; s++ {
-				p.Sleep(Time(eng.Rand().Intn(40)))
-				emit("proc", i, s)
+		eng.GoTask(fmt.Sprintf("proc%d", i), func(task *Task) {
+			s := 0
+			var step func()
+			step = func() {
+				if s == steps {
+					task.Finish()
+					return
+				}
+				task.Sleep(Time(eng.Rand().Intn(40)), func() {
+					emit("proc", i, s)
+					s++
+					step()
+				})
 			}
+			step()
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -111,18 +122,14 @@ func TestShardRunUntil(t *testing.T) {
 			eng.LocalSleepThen(c, Time(50+10*c), func() { fired = append(fired, eng.Now()) })
 		})
 	}
-	if err := eng.RunUntil(55); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(55)
 	if len(fired) != 1 || fired[0] != 50 {
 		t.Fatalf("after RunUntil(55): fired=%v, want [50]", fired)
 	}
 	if p := eng.Pending(); p != 3 {
 		t.Fatalf("Pending() = %d, want 3", p)
 	}
-	if err := eng.RunUntil(200); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(200)
 	if len(fired) != 4 {
 		t.Fatalf("after RunUntil(200): fired=%v, want 4 events", fired)
 	}
@@ -157,9 +164,7 @@ func TestSetShardsPendingLocalEvents(t *testing.T) {
 	eng.ScheduleAt(0, PrioNormal, func() {
 		eng.LocalSleepThen(0, 100, func() { ran = true })
 	})
-	if err := eng.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(10)
 	if err := eng.SetShards(4); err == nil {
 		t.Fatal("SetShards succeeded with local events pending")
 	}

@@ -1,86 +1,58 @@
 package sim
 
-// WaitQueue is a FIFO list of suspended waiters — parked processes and/or
-// task continuations. Hardware models use it to block workload threads on
-// a condition and wake them when the condition changes; because both
-// waiter styles live in one queue, a spin list serves blocking Procs and
-// continuation-form Tasks with identical FIFO semantics. The zero value is
-// an empty queue ready to use.
-//
-// Waking consumes one event sequence number per waiter regardless of
-// style (Proc.Wake and Engine.Schedule produce events with identical
-// (time, priority, sequence) keys), so the two styles are interchangeable
-// without affecting simulated results.
+// WaitQueue is a FIFO list of continuations blocked on a condition.
+// Hardware models use it to suspend workload tasks until the condition
+// changes: Wait enqueues a completion callback, and waking schedules each
+// callback as an ordinary engine event after the given delay, consuming
+// one event sequence number per waiter. The zero value is an empty queue
+// ready to use.
 //
 // The queue is a head-indexed deque over a reused backing array: spin loops
-// park and wake the same threads over and over, and re-growing the queue
+// park and wake the same tasks over and over, and re-growing the queue
 // each round is measurable garbage on hot coherence lines.
 type WaitQueue struct {
-	ws   []waiter
+	fns  []func()
 	head int
 	eng  *Engine
 }
 
-// waiter is one suspended entry: a parked process or a continuation.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-func (w waiter) wake(e *Engine, d Time) {
-	if w.p != nil {
-		w.p.Wake(d)
-		return
-	}
-	e.Schedule(d, w.fn)
-}
-
-// Wait parks p on the queue until some other event wakes it.
-func (q *WaitQueue) Wait(p *Proc, reason string) {
-	q.eng = p.eng
-	q.ws = append(q.ws, waiter{p: p})
-	p.Park(reason)
-}
-
-// WaitFn enqueues the continuation fn to run when the queue is woken. It
-// is the task-style counterpart of Wait: the caller's task is considered
+// Wait enqueues fn to run when the queue is woken. The caller's task is
 // suspended until fn fires.
-func (q *WaitQueue) WaitFn(e *Engine, fn func()) {
+func (q *WaitQueue) Wait(e *Engine, fn func()) {
 	q.eng = e
-	q.ws = append(q.ws, waiter{fn: fn})
+	q.fns = append(q.fns, fn)
 }
 
 // Len returns the number of waiters.
-func (q *WaitQueue) Len() int { return len(q.ws) - q.head }
+func (q *WaitQueue) Len() int { return len(q.fns) - q.head }
 
-// WakeAll wakes every waiter after d cycles, in FIFO order.
+// WakeAll schedules every waiter to run after d cycles, in FIFO order.
 func (q *WaitQueue) WakeAll(d Time) {
-	for i := q.head; i < len(q.ws); i++ {
-		q.ws[i].wake(q.eng, d)
-		q.ws[i] = waiter{}
+	for i := q.head; i < len(q.fns); i++ {
+		q.eng.Schedule(d, q.fns[i])
+		q.fns[i] = nil
 	}
-	q.ws = q.ws[:0]
+	q.fns = q.fns[:0]
 	q.head = 0
 }
 
-// WakeOne wakes the oldest waiter after d cycles. It reports whether a
-// waiter was woken.
+// WakeOne schedules the oldest waiter to run after d cycles. It reports
+// whether a waiter was woken.
 func (q *WaitQueue) WakeOne(d Time) bool {
 	if q.Len() == 0 {
 		return false
 	}
-	w := q.ws[q.head]
-	q.ws[q.head] = waiter{}
+	fn := q.fns[q.head]
+	q.fns[q.head] = nil
 	q.head++
-	q.ws, q.head = compact(q.ws, q.head)
-	w.wake(q.eng, d)
+	q.fns, q.head = compact(q.fns, q.head)
+	q.eng.Schedule(d, fn)
 	return true
 }
 
 // compact reclaims a deque's dead prefix once it reaches half the backing
 // array, keeping memory proportional to live waiters rather than to total
-// traffic through the queue. Amortized O(1) per operation. Shared by the
-// process wait lists here and their continuation mirrors in async.go.
+// traffic through the queue. Amortized O(1) per operation.
 func compact[T any](ps []T, head int) ([]T, int) {
 	if head*2 < len(ps) {
 		return ps, head
@@ -93,75 +65,50 @@ func compact[T any](ps []T, head int) ([]T, int) {
 	return ps[:n], 0
 }
 
-// Remove drops p from the queue without waking it. It reports whether p was
-// found. The caller is responsible for waking p by other means.
-func (q *WaitQueue) Remove(p *Proc) bool {
-	for i := q.head; i < len(q.ws); i++ {
-		if q.ws[i].p == p {
-			copy(q.ws[i:], q.ws[i+1:])
-			q.ws[len(q.ws)-1] = waiter{}
-			q.ws = q.ws[:len(q.ws)-1]
-			if q.head == len(q.ws) {
-				q.ws = q.ws[:0]
-				q.head = 0
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // Resource is a FIFO mutual-exclusion resource in simulation time, used to
 // model structures that serve one transaction at a time (a directory line,
-// an L2 bank, a memory controller port). The zero value is free. Like
-// WaitQueue, the waiter list is a head-indexed deque over a reused array.
+// an L2 bank, a memory controller port). Its waiters are completion
+// callbacks. The zero value is free.
+//
+// A free Acquire runs its continuation inline, without an event; a Release
+// with waiters schedules the next grant at the release cycle.
 type Resource struct {
-	owner *Proc
-	q     []*Proc
-	head  int
+	held bool
+	q    WaitQueue
 	// BusyCycles accumulates total time the resource was held, for
 	// utilization statistics. Updated on Release.
 	BusyCycles Time
 	acquiredAt Time
 }
 
-// Acquire blocks p until it owns the resource. Ownership is granted in
-// request order.
-func (r *Resource) Acquire(p *Proc, reason string) {
-	if r.owner == nil {
-		r.owner = p
-		r.acquiredAt = p.eng.now
+// Acquire grants the resource to the caller and runs then at the grant
+// cycle: immediately (inline, no event) when the resource is free,
+// otherwise as a scheduled continuation when a Release hands it over.
+// Ownership is granted in request order.
+func (r *Resource) Acquire(e *Engine, then func()) {
+	if !r.held {
+		r.held = true
+		r.acquiredAt = e.now
+		then()
 		return
 	}
-	r.q = append(r.q, p)
-	p.Park(reason)
-	// The releaser set r.owner = p before waking us.
-	r.acquiredAt = p.eng.now
+	r.q.Wait(e, then)
 }
 
-// Release hands the resource to the oldest waiter, or frees it. Only the
-// current owner may call Release.
-func (r *Resource) Release(p *Proc) {
-	if r.owner != p {
-		panic("sim: Release by non-owner")
+// Release hands the resource to the oldest waiter (whose continuation runs
+// as an event at the current cycle), or frees it. Only the holder's
+// continuation chain may call Release.
+func (r *Resource) Release(e *Engine) {
+	if !r.held {
+		panic("sim: Release of a free Resource")
 	}
-	r.BusyCycles += p.eng.now - r.acquiredAt
-	if r.head == len(r.q) {
-		r.owner = nil
-		r.q = r.q[:0]
-		r.head = 0
+	r.BusyCycles += e.now - r.acquiredAt
+	if r.q.Len() == 0 {
+		r.held = false
 		return
 	}
-	next := r.q[r.head]
-	r.q[r.head] = nil
-	r.head++
-	r.q, r.head = compact(r.q, r.head)
-	r.owner = next
-	next.Wake(0)
+	// The next holder's grant event runs at this same cycle, so its hold
+	// time is charged from now.
+	r.acquiredAt = e.now
+	r.q.WakeOne(0)
 }
-
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.q) - r.head }
-
-// Held reports whether the resource is currently owned.
-func (r *Resource) Held() bool { return r.owner != nil }

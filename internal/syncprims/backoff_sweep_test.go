@@ -23,10 +23,8 @@ func TestBackoffPolicySweep(t *testing.T) {
 		m := core.NewMachine(cfg)
 		f := NewFactory(m)
 		b := f.NewBarrier(nil)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				b.Wait(th)
-			}
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, episodes, func(_ int, next func()) { b.Wait(th, next) })
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)

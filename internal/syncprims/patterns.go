@@ -16,30 +16,35 @@ func (f *Factory) NewEureka() *Eureka {
 	return &Eureka{v: f.NewVar(0), gen: make([]uint64, f.m.Cfg.Cores)}
 }
 
-// Trigger fires the eureka for the current generation. Multiple triggers of
-// one generation are idempotent.
-func (e *Eureka) Trigger(t *core.Thread) {
+// Trigger fires the eureka for the current generation; then runs once the
+// trigger store completes. Multiple triggers of one generation are
+// idempotent.
+func (e *Eureka) Trigger(t *core.Task, then func()) {
 	gen := e.gen[t.Core]
-	if e.v.Load(t) > gen {
-		return // already fired
-	}
-	e.v.Store(t, gen+1)
+	e.v.Load(t, func(v uint64) {
+		if v > gen {
+			then() // already fired
+			return
+		}
+		e.v.Store(t, gen+1, then)
+	})
 }
 
 // Triggered polls whether the current generation has fired.
-func (e *Eureka) Triggered(t *core.Thread) bool {
-	return e.v.Load(t) > e.gen[t.Core]
+func (e *Eureka) Triggered(t *core.Task, then func(bool)) {
+	gen := e.gen[t.Core]
+	e.v.Load(t, func(v uint64) { then(v > gen) })
 }
 
-// WaitTriggered blocks until the current generation fires.
-func (e *Eureka) WaitTriggered(t *core.Thread) {
+// WaitTriggered holds the task until the current generation fires.
+func (e *Eureka) WaitTriggered(t *core.Task, then func()) {
 	gen := e.gen[t.Core]
-	e.v.SpinUntil(t, func(v uint64) bool { return v > gen })
+	e.v.SpinUntil(t, func(v uint64) bool { return v > gen }, func(uint64) { then() })
 }
 
 // Ack consumes the current generation locally, re-arming the eureka for
 // reuse by this thread.
-func (e *Eureka) Ack(t *core.Thread) { e.gen[t.Core]++ }
+func (e *Eureka) Ack(t *core.Task) { e.gen[t.Core]++ }
 
 // PC is a single-producer single-consumer channel (Section 4.3.4): a data
 // area plus a full/empty flag. On WiSync machines with word count 4 the
@@ -75,34 +80,55 @@ func (f *Factory) NewPC(words int) *PC {
 }
 
 // Produce publishes vals (len == words): wait for the slot to be empty,
-// write the data, set the flag.
-func (pc *PC) Produce(t *core.Thread, vals []uint64) {
-	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 0 })
-	if pc.bulk {
-		var four [4]uint64
-		copy(four[:], vals)
-		t.BMBulkStore(pc.bmData, four)
-	} else {
-		for i, v := range vals {
-			pc.data[i].Store(t, v)
+// write the data, set the flag; then runs once the flag is set.
+func (pc *PC) Produce(t *core.Task, vals []uint64, then func()) {
+	setFlag := func() { pc.flag.Store(t, 1, then) }
+	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 0 }, func(uint64) {
+		if pc.bulk {
+			var four [4]uint64
+			copy(four[:], vals)
+			t.BMBulkStore(pc.bmData, four, setFlag)
+			return
 		}
-	}
-	pc.flag.Store(t, 1)
+		storeWords(t, pc.data, vals, setFlag)
+	})
 }
 
-// Consume blocks until data is available, reads it into out (len == words),
-// and clears the flag.
-func (pc *PC) Consume(t *core.Thread, out []uint64) {
-	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 1 })
-	if pc.bulk {
-		four := t.BMBulkLoad(pc.bmData)
-		copy(out, four[:])
-	} else {
-		for i := range out {
-			out[i] = pc.data[i].Load(t)
-		}
+// storeWords stores vals[i] to vars[i] one after another, then runs then.
+func storeWords(t *core.Task, vars []Var, vals []uint64, then func()) {
+	if len(vals) == 0 {
+		then()
+		return
 	}
-	pc.flag.Store(t, 0)
+	vars[0].Store(t, vals[0], func() { storeWords(t, vars[1:], vals[1:], then) })
+}
+
+// Consume waits until data is available, reads it into out (len ==
+// words), and clears the flag; then runs once the flag is cleared.
+func (pc *PC) Consume(t *core.Task, out []uint64, then func()) {
+	clearFlag := func() { pc.flag.Store(t, 0, then) }
+	pc.flag.SpinUntil(t, func(v uint64) bool { return v == 1 }, func(uint64) {
+		if pc.bulk {
+			t.BMBulkLoad(pc.bmData, func(four [4]uint64) {
+				copy(out, four[:])
+				clearFlag()
+			})
+			return
+		}
+		loadWords(t, pc.data, out, clearFlag)
+	})
+}
+
+// loadWords loads vars[i] into out[i] one after another, then runs then.
+func loadWords(t *core.Task, vars []Var, out []uint64, then func()) {
+	if len(out) == 0 {
+		then()
+		return
+	}
+	vars[0].Load(t, func(v uint64) {
+		out[0] = v
+		loadWords(t, vars[1:], out[1:], then)
+	})
 }
 
 // Multicast is the single-producer multiple-consumer pattern of Section
@@ -129,24 +155,29 @@ func (f *Factory) NewMulticast(readers int) *Multicast {
 
 // Produce publishes val to all readers and waits until every reader took
 // it: write data, set count to N, toggle the flag, spin on count == 0.
-func (mc *Multicast) Produce(t *core.Thread, val uint64) {
+func (mc *Multicast) Produce(t *core.Task, val uint64, then func()) {
 	s := mc.sense[t.Core] ^ 1
 	mc.sense[t.Core] = s
-	mc.data.Store(t, val)
-	mc.count.Store(t, mc.readers)
-	mc.flag.Store(t, s)
-	mc.count.SpinUntil(t, func(v uint64) bool { return v == 0 })
+	mc.data.Store(t, val, func() {
+		mc.count.Store(t, mc.readers, func() {
+			mc.flag.Store(t, s, func() {
+				mc.count.SpinUntil(t, func(v uint64) bool { return v == 0 }, func(uint64) { then() })
+			})
+		})
+	})
 }
 
-// Consume blocks for the next published value and acknowledges it: spin on
-// the flag toggle, read data, fetch&add(count, -1).
-func (mc *Multicast) Consume(t *core.Thread) uint64 {
+// Consume waits for the next published value and acknowledges it: spin on
+// the flag toggle, read data, fetch&add(count, -1). then receives the
+// value.
+func (mc *Multicast) Consume(t *core.Task, then func(uint64)) {
 	s := mc.sense[t.Core] ^ 1
 	mc.sense[t.Core] = s
-	mc.flag.SpinUntil(t, func(v uint64) bool { return v == s })
-	v := mc.data.Load(t)
-	mc.count.FetchAdd(t, ^uint64(0)) // -1
-	return v
+	mc.flag.SpinUntil(t, func(v uint64) bool { return v == s }, func(uint64) {
+		mc.data.Load(t, func(v uint64) {
+			mc.count.FetchAdd(t, ^uint64(0), func(uint64) { then(v) }) // -1
+		})
+	})
 }
 
 // Reducer accumulates values from many threads into one variable with
@@ -158,38 +189,15 @@ type Reducer struct {
 // NewReducer allocates a reduction variable initialized to init.
 func (f *Factory) NewReducer(init uint64) *Reducer { return &Reducer{v: f.NewVar(init)} }
 
-// Add contributes delta.
-func (r *Reducer) Add(t *core.Thread, delta uint64) { r.v.FetchAdd(t, delta) }
-
-// AddTask is Add in continuation form.
-func (r *Reducer) AddTask(t *core.Task, delta uint64, then func()) {
-	AsTaskVar(r.v).FetchAddTask(t, delta, func(uint64) { then() })
+// Add contributes delta; then receives the total before the add. Taking
+// the fetch&add continuation directly lets hot callers reuse one cached
+// continuation with no per-op capture.
+func (r *Reducer) Add(t *core.Task, delta uint64, then func(uint64)) {
+	r.v.FetchAdd(t, delta, then)
 }
 
 // Value reads the current total.
-func (r *Reducer) Value(t *core.Thread) uint64 { return r.v.Load(t) }
-
-// TaskReducer is the continuation form of Reducer: the same reduction
-// variable driven through the task ISA. Obtain one with Reducer.AsTask; the
-// two faces are interchangeable within the bit-identical-modes contract of
-// the package.
-type TaskReducer struct {
-	v TaskVar
-}
-
-// AsTask returns the reducer's continuation face.
-func (r *Reducer) AsTask() TaskReducer { return TaskReducer{v: AsTaskVar(r.v)} }
-
-// Add contributes delta; then receives the total before the add. Taking the
-// fetch&add continuation directly (instead of a niladic wrapper like
-// AddTask's) lets hot callers reuse one cached continuation with no per-op
-// capture.
-func (r TaskReducer) Add(t *core.Task, delta uint64, then func(uint64)) {
-	r.v.FetchAddTask(t, delta, then)
-}
-
-// Value reads the current total.
-func (r TaskReducer) Value(t *core.Task, then func(uint64)) { r.v.LoadTask(t, then) }
+func (r *Reducer) Value(t *core.Task, then func(uint64)) { r.v.Load(t, then) }
 
 // Var exposes the underlying variable (for draining or resetting).
 func (r *Reducer) Var() Var { return r.v }

@@ -24,28 +24,34 @@ import (
 	"wisync/internal/core"
 )
 
-// Barrier blocks each participant until all participants arrive.
+// Every primitive is driven in continuation form: an operation returns
+// immediately and runs its completion callback (then) at the cycle the
+// operation completes, following the core.Task continuation discipline.
+
+// Barrier holds each participant until all participants arrive: then runs
+// once everyone has.
 type Barrier interface {
-	Wait(t *core.Thread)
+	Wait(t *core.Task, then func())
 }
 
-// Lock is a mutual exclusion lock.
+// Lock is a mutual exclusion lock: Acquire's then runs once the lock is
+// held, Release's once it is handed on.
 type Lock interface {
-	Acquire(t *core.Thread)
-	Release(t *core.Thread)
+	Acquire(t *core.Task, then func())
+	Release(t *core.Task, then func())
 }
 
 // Var is a 64-bit shared synchronization variable.
 type Var interface {
-	Load(t *core.Thread) uint64
-	Store(t *core.Thread, v uint64)
-	// CAS performs compare-and-swap and reports whether it swapped.
-	CAS(t *core.Thread, old, nv uint64) bool
-	// FetchAdd atomically adds delta, returning the previous value.
-	FetchAdd(t *core.Thread, delta uint64) uint64
+	Load(t *core.Task, then func(uint64))
+	Store(t *core.Task, v uint64, then func())
+	// CAS performs compare-and-swap; then reports whether it swapped.
+	CAS(t *core.Task, old, nv uint64, then func(bool))
+	// FetchAdd atomically adds delta; then receives the previous value.
+	FetchAdd(t *core.Task, delta uint64, then func(uint64))
 	// SpinUntil spins (hardware-faithfully for the backend) until cond
-	// holds, returning the satisfying value.
-	SpinUntil(t *core.Thread, cond func(uint64) bool) uint64
+	// holds; then receives the satisfying value.
+	SpinUntil(t *core.Task, cond func(uint64) bool, then func(uint64))
 	// InBM reports whether the variable lives in Broadcast Memory.
 	InBM() bool
 }

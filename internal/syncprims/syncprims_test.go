@@ -7,7 +7,16 @@ import (
 	"wisync/internal/config"
 	"wisync/internal/core"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
+
+// loop runs body(i, next) for i in [0, n) on the task, each round starting
+// when the previous one calls next, then finishes the task.
+func loop(th *core.Task, n int, body func(i int, next func())) {
+	simtest.Repeat(n, func(i int) simtest.Op {
+		return func(next func()) { body(i, next) }
+	})(th.Finish)
+}
 
 func newMachine(t *testing.T, kind config.Kind, cores int) *core.Machine {
 	t.Helper()
@@ -29,18 +38,20 @@ func TestBarrierSynchronizesAllKinds(t *testing.T) {
 		f := NewFactory(m)
 		b := f.NewBarrier(nil)
 		phase := make([]int, cores)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(100))
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, episodes, func(e int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(100))
 				phase[th.Core] = e
-				b.Wait(th)
-				for j := 0; j < cores; j++ {
-					if phase[j] < e {
-						t.Errorf("thread %d passed episode %d while %d is at %d",
-							th.Core, e, j, phase[j])
+				b.Wait(th, func() {
+					for j := 0; j < cores; j++ {
+						if phase[j] < e {
+							t.Errorf("thread %d passed episode %d while %d is at %d",
+								th.Core, e, j, phase[j])
+						}
 					}
-				}
-			}
+					next()
+				})
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -56,12 +67,14 @@ func TestBarrierNoThreadReleasedEarly(t *testing.T) {
 		b := f.NewBarrier(nil)
 		const lateArrival = 5000
 		var releases []sim.Time
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAll(func(th *core.Task) {
 			if th.Core == cores-1 {
 				th.Compute(lateArrival)
 			}
-			b.Wait(th)
-			releases = append(releases, th.Proc().Now())
+			b.Wait(th, func() {
+				releases = append(releases, m.Now())
+				th.Finish()
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -83,20 +96,22 @@ func TestLockMutualExclusionAllKinds(t *testing.T) {
 		f := NewFactory(m)
 		l := f.NewLock()
 		var inside, maxInside, total int
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < iters; i++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(60))
-				l.Acquire(th)
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				total++
-				th.Compute(20)
-				th.Sync() // make the hold time architectural
-				inside--
-				l.Release(th)
-			}
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, iters, func(_ int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(60))
+				l.Acquire(th, func() {
+					inside++
+					if inside > maxInside {
+						maxInside = inside
+					}
+					total++
+					th.Compute(20)
+					th.Sync(func() { // make the hold time architectural
+						inside--
+						l.Release(th, next)
+					})
+				})
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -117,10 +132,11 @@ func TestLockContendedHandoffProgress(t *testing.T) {
 		f := NewFactory(m)
 		l := f.NewLock()
 		var got int
-		m.SpawnAll(func(th *core.Thread) {
-			l.Acquire(th)
-			got++
-			l.Release(th)
+		m.SpawnAll(func(th *core.Task) {
+			l.Acquire(th, func() {
+				got++
+				l.Release(th, th.Finish)
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -136,24 +152,32 @@ func TestVarCASAndFetchAdd(t *testing.T) {
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
 		v := f.NewVar(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 10; i++ {
-				v.FetchAdd(th, 1)
-			}
-			// CAS loop adds 5 more per thread.
-			for added := 0; added < 5; {
-				old := v.Load(th)
-				if v.CAS(th, old, old+1) {
-					added++
-				}
-			}
+		m.SpawnAll(func(th *core.Task) {
+			added := 0
+			simtest.Chain(
+				simtest.Repeat(10, func(int) simtest.Op {
+					return func(next func()) { v.FetchAdd(th, 1, func(uint64) { next() }) }
+				}),
+				// CAS loop adds 5 more per thread.
+				simtest.While(func() bool { return added < 5 }, func(next func()) {
+					v.Load(th, func(old uint64) {
+						v.CAS(th, old, old+1, func(ok bool) {
+							if ok {
+								added++
+							}
+							next()
+						})
+					})
+				}))(th.Finish)
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		// Check final value through a fresh reader thread.
 		var final uint64
-		m.Spawn("reader", 0, 1, func(th *core.Thread) { final = v.Load(th) })
+		m.Spawn("reader", 0, 1, func(th *core.Task) {
+			v.Load(th, func(x uint64) { final = x; th.Finish() })
+		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -196,19 +220,17 @@ func TestBMSpillToCachedMemory(t *testing.T) {
 		t.Errorf("vars in BM = %d, want 4", inBM)
 	}
 	// Spilled variables still work.
-	m.SpawnAll(func(th *core.Thread) {
-		for _, v := range vars {
-			v.FetchAdd(th, 1)
-		}
+	m.SpawnAll(func(th *core.Task) {
+		loop(th, len(vars), func(i int, next func()) { vars[i].FetchAdd(th, 1, func(uint64) { next() }) })
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
-	m.Spawn("reader", 0, 1, func(th *core.Thread) {
-		for _, v := range vars {
-			sum += v.Load(th)
-		}
+	m.Spawn("reader", 0, 1, func(th *core.Task) {
+		loop(th, len(vars), func(i int, next func()) {
+			vars[i].Load(th, func(x uint64) { sum += x; next() })
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -229,10 +251,8 @@ func TestBarrierCostOrderingAcrossKinds(t *testing.T) {
 		m := newMachine(t, k, cores)
 		f := NewFactory(m)
 		b := f.NewBarrier(nil)
-		m.SpawnAll(func(th *core.Thread) {
-			for e := 0; e < episodes; e++ {
-				b.Wait(th)
-			}
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, episodes, func(_ int, next func()) { b.Wait(th, next) })
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -258,18 +278,20 @@ func TestEurekaFiresForAll(t *testing.T) {
 		e := f.NewEureka()
 		found := -1
 		var woken int
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAll(func(th *core.Task) {
 			if th.Core == 3 {
 				th.Compute(500)
 				found = th.Core
-				e.Trigger(th)
+				e.Trigger(th, th.Finish)
 				return
 			}
-			e.WaitTriggered(th)
-			if found != 3 {
-				t.Errorf("thread %d woke before the trigger", th.Core)
-			}
-			woken++
+			e.WaitTriggered(th, func() {
+				if found != 3 {
+					t.Errorf("thread %d woke before the trigger", th.Core)
+				}
+				woken++
+				th.Finish()
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -285,21 +307,25 @@ func TestEurekaReuse(t *testing.T) {
 	f := NewFactory(m)
 	e := f.NewEureka()
 	var fired int
-	m.SpawnAll(func(th *core.Thread) {
-		for round := 0; round < 3; round++ {
+	m.SpawnAll(func(th *core.Task) {
+		loop(th, 3, func(_ int, next func()) {
+			endRound := func() {
+				e.Ack(th)
+				// Simple rendezvous so rounds don't overlap: everyone
+				// waits out the round window.
+				th.Compute(1000)
+				th.Sync(next)
+			}
 			if th.Core == 0 {
 				th.Compute(200)
-				e.Trigger(th)
-			} else {
-				e.WaitTriggered(th)
-				fired++
+				e.Trigger(th, endRound)
+				return
 			}
-			e.Ack(th)
-			// Simple rendezvous so rounds don't overlap: everyone
-			// waits out the round window.
-			th.Compute(1000)
-			th.Sync()
-		}
+			e.WaitTriggered(th, func() {
+				fired++
+				endRound()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -315,17 +341,17 @@ func TestProducerConsumer(t *testing.T) {
 		f := NewFactory(m)
 		pc := f.NewPC(1)
 		var got []uint64
-		m.Spawn("producer", 0, 1, func(th *core.Thread) {
-			for i := 1; i <= items; i++ {
-				pc.Produce(th, []uint64{uint64(i * 11)})
-			}
+		m.Spawn("producer", 0, 1, func(th *core.Task) {
+			loop(th, items, func(i int, next func()) { pc.Produce(th, []uint64{uint64((i + 1) * 11)}, next) })
 		})
-		m.Spawn("consumer", 1, 1, func(th *core.Thread) {
+		m.Spawn("consumer", 1, 1, func(th *core.Task) {
 			buf := make([]uint64, 1)
-			for i := 0; i < items; i++ {
-				pc.Consume(th, buf)
-				got = append(got, buf[0])
-			}
+			loop(th, items, func(_ int, next func()) {
+				pc.Consume(th, buf, func() {
+					got = append(got, buf[0])
+					next()
+				})
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -347,17 +373,19 @@ func TestProducerConsumerBulk(t *testing.T) {
 	f := NewFactory(m)
 	pc := f.NewPC(4)
 	var got [][]uint64
-	m.Spawn("producer", 0, 1, func(th *core.Thread) {
-		for i := 0; i < 5; i++ {
-			pc.Produce(th, []uint64{uint64(i), uint64(i + 1), uint64(i + 2), uint64(i + 3)})
-		}
+	m.Spawn("producer", 0, 1, func(th *core.Task) {
+		loop(th, 5, func(i int, next func()) {
+			pc.Produce(th, []uint64{uint64(i), uint64(i + 1), uint64(i + 2), uint64(i + 3)}, next)
+		})
 	})
-	m.Spawn("consumer", 1, 1, func(th *core.Thread) {
-		for i := 0; i < 5; i++ {
+	m.Spawn("consumer", 1, 1, func(th *core.Task) {
+		loop(th, 5, func(_ int, next func()) {
 			buf := make([]uint64, 4)
-			pc.Consume(th, buf)
-			got = append(got, buf)
-		}
+			pc.Consume(th, buf, func() {
+				got = append(got, buf)
+				next()
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -378,16 +406,17 @@ func TestMulticastDelivery(t *testing.T) {
 		mc := f.NewMulticast(readers)
 		const rounds = 4
 		recv := make([][]uint64, readers+1)
-		m.SpawnAll(func(th *core.Thread) {
+		m.SpawnAll(func(th *core.Task) {
 			if th.Core == 0 {
-				for r := 1; r <= rounds; r++ {
-					mc.Produce(th, uint64(r*100))
-				}
+				loop(th, rounds, func(r int, next func()) { mc.Produce(th, uint64((r+1)*100), next) })
 				return
 			}
-			for r := 0; r < rounds; r++ {
-				recv[th.Core] = append(recv[th.Core], mc.Consume(th))
-			}
+			loop(th, rounds, func(_ int, next func()) {
+				mc.Consume(th, func(v uint64) {
+					recv[th.Core] = append(recv[th.Core], v)
+					next()
+				})
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -407,16 +436,16 @@ func TestReducerTotals(t *testing.T) {
 	forAllKinds(t, cores, func(t *testing.T, m *core.Machine) {
 		f := NewFactory(m)
 		r := f.NewReducer(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 10; i++ {
-				r.Add(th, uint64(th.Core))
-			}
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, 10, func(_ int, next func()) { r.Add(th, uint64(th.Core), func(uint64) { next() }) })
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		var got uint64
-		m.Spawn("reader", 0, 1, func(th *core.Thread) { got = r.Value(th) })
+		m.Spawn("reader", 0, 1, func(th *core.Task) {
+			r.Value(th, func(v uint64) { got = v; th.Finish() })
+		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -435,12 +464,16 @@ func TestTournamentBarrierNonPowerOfTwo(t *testing.T) {
 			f := NewFactory(m)
 			b := f.NewBarrier(nil)
 			var through int
-			m.SpawnAll(func(th *core.Thread) {
-				for e := 0; e < 3; e++ {
-					th.Compute(th.Proc().Engine().Rand().Intn(50))
-					b.Wait(th)
-				}
-				through++
+			m.SpawnAll(func(th *core.Task) {
+				simtest.Repeat(3, func(int) simtest.Op {
+					return func(next func()) {
+						th.Compute(m.Eng.Rand().Intn(50))
+						b.Wait(th, next)
+					}
+				})(func() {
+					through++
+					th.Finish()
+				})
 			})
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
@@ -466,10 +499,12 @@ func TestToneBarrierFallsBackWhenTablesFull(t *testing.T) {
 	if _, ok := b2.(*dataBarrier); !ok {
 		t.Fatalf("second barrier is %T, want dataBarrier", b2)
 	}
-	m.SpawnAll(func(th *core.Thread) {
-		b1.Wait(th)
-		b2.Wait(th)
-		b1.Wait(th)
+	m.SpawnAll(func(th *core.Task) {
+		b1.Wait(th, func() {
+			b2.Wait(th, func() {
+				b1.Wait(th, th.Finish)
+			})
+		})
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -483,14 +518,15 @@ func TestDeterministicRunsAcrossMachines(t *testing.T) {
 		b := f.NewBarrier(nil)
 		l := f.NewLock()
 		v := f.NewVar(0)
-		m.SpawnAll(func(th *core.Thread) {
-			for i := 0; i < 5; i++ {
-				th.Compute(th.Proc().Engine().Rand().Intn(100))
-				l.Acquire(th)
-				v.FetchAdd(th, 1)
-				l.Release(th)
-				b.Wait(th)
-			}
+		m.SpawnAll(func(th *core.Task) {
+			loop(th, 5, func(_ int, next func()) {
+				th.Compute(m.Eng.Rand().Intn(100))
+				l.Acquire(th, func() {
+					v.FetchAdd(th, 1, func(uint64) {
+						l.Release(th, func() { b.Wait(th, next) })
+					})
+				})
+			})
 		})
 		if err := m.Run(); err != nil {
 			t.Fatal(err)

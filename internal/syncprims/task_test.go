@@ -15,7 +15,8 @@ import (
 // protocol counters, and the functional state the primitive protects —
 // matches testdata/equivalence.tsv exactly. The file was recorded from
 // the blocking reference implementation the continuation-form primitives
-// replaced. Regenerate it only after an intended behaviour change:
+// replaced, and the primitives matched it before that implementation was
+// deleted. Regenerate it only after an intended behaviour change:
 //
 //	go test ./internal/syncprims -run Equivalence -update-golden
 
@@ -34,48 +35,21 @@ type lockResult struct {
 	NetMsgs uint64
 }
 
-// runLockThreads hammers a critical section with blocking threads: each
-// thread increments an unprotected Go counter under the lock; any mutual-
-// exclusion failure shows up as a lost update in the simulated interleave.
-func runLockThreads(cfg config.Config, rounds int) lockResult {
+// runLocks hammers a critical section: each task increments an
+// unprotected Go counter under the lock; any mutual-exclusion failure shows
+// up as a lost update in the simulated interleave.
+func runLocks(cfg config.Config, rounds int) lockResult {
 	m := core.NewMachine(cfg)
 	l := NewFactory(m).NewLock()
 	var counter uint64
-	m.SpawnAll(func(t *core.Thread) {
-		for i := 0; i < rounds; i++ {
-			l.Acquire(t)
-			counter++
-			t.Instr(20)
-			l.Release(t)
-		}
-	})
-	if err := m.Run(); err != nil {
-		panic(err)
-	}
-	return lockResultOf(m, counter)
-}
-
-// runLockTasks is the same workload in continuation form.
-func runLockTasks(cfg config.Config, rounds int) lockResult {
-	m := core.NewMachine(cfg)
-	l := NewFactory(m).NewTaskLock()
-	var counter uint64
-	m.SpawnAllTasks(func(t *core.Task) {
-		i := 0
-		var loop func()
-		loop = func() {
-			if i == rounds {
-				t.Finish()
-				return
-			}
-			i++
-			l.AcquireTask(t, func() {
+	m.SpawnAll(func(t *core.Task) {
+		loop(t, rounds, func(_ int, next func()) {
+			l.Acquire(t, func() {
 				counter++
 				t.Instr(20)
-				l.ReleaseTask(t, loop)
+				l.Release(t, next)
 			})
-		}
-		loop()
+		})
 	})
 	if err := m.Run(); err != nil {
 		panic(err)
@@ -99,18 +73,14 @@ func lockResultOf(m *core.Machine, counter uint64) lockResult {
 
 // TestLockTaskEquivalence covers the spinLock (Baseline: CAS/backoff over
 // cached memory; WiSync: wireless test&set) and the Baseline+ MCS queue
-// lock in both execution modes.
+// lock.
 func TestLockTaskEquivalence(t *testing.T) {
 	const rounds = 4
 	var rows []recorded.Row
 	for _, k := range config.Kinds {
 		for _, seed := range []uint64{1, 42} {
 			cfg := config.New(k, 8).WithSeed(seed)
-			run := runLockTasks
-			if *updateGolden {
-				run = runLockThreads
-			}
-			r := run(cfg, rounds)
+			r := runLocks(cfg, rounds)
 			if want := uint64(8 * rounds); r.Counter != want {
 				t.Errorf("%v seed %d: counter = %d, want %d (mutual exclusion broken?)",
 					k, seed, r.Counter, want)
@@ -127,7 +97,7 @@ func TestLockTaskEquivalence(t *testing.T) {
 // recorded protocol counters.
 func TestBarrierTaskEquivalence(t *testing.T) {
 	const episodes = 5
-	run := func(cfg config.Config, task bool) (uint64, string) {
+	run := func(cfg config.Config) (uint64, string) {
 		m := core.NewMachine(cfg)
 		b := NewFactory(m).NewBarrier(nil)
 		phase := make([]int, m.Cfg.Cores)
@@ -139,31 +109,12 @@ func TestBarrierTaskEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if task {
-			tb := AsTaskBarrier(b)
-			m.SpawnAllTasks(func(t *core.Task) {
-				n := 0
-				var loop func()
-				loop = func() {
-					if n == episodes {
-						t.Finish()
-						return
-					}
-					n++
-					t.Instr(10 * (1 + t.Core%3))
-					tb.WaitTask(t, func() { check(t.Core); loop() })
-				}
-				loop()
+		m.SpawnAll(func(t *core.Task) {
+			loop(t, episodes, func(_ int, next func()) {
+				t.Instr(10 * (1 + t.Core%3))
+				b.Wait(t, func() { check(t.Core); next() })
 			})
-		} else {
-			m.SpawnAll(func(t *core.Thread) {
-				for n := 0; n < episodes; n++ {
-					t.Instr(10 * (1 + t.Core%3))
-					b.Wait(t)
-					check(t.Core)
-				}
-			})
-		}
+		})
 		if err := m.Run(); err != nil {
 			panic(err)
 		}
@@ -177,7 +128,7 @@ func TestBarrierTaskEquivalence(t *testing.T) {
 	for _, k := range config.Kinds {
 		for _, seed := range []uint64{1, 42} {
 			cfg := config.New(k, 16).WithSeed(seed)
-			cyc, ctr := run(cfg, !*updateGolden)
+			cyc, ctr := run(cfg)
 			rows = append(rows, recorded.Row{ID: fmt.Sprintf("%v/16c/s%d", k, seed), Value: fmt.Sprintf("cyc=%d %s", cyc, ctr)})
 		}
 	}

@@ -7,19 +7,16 @@ type cacheVar struct {
 	addr uint64
 }
 
-func (v *cacheVar) Load(t *core.Thread) uint64     { return t.Read(v.addr) }
-func (v *cacheVar) Store(t *core.Thread, x uint64) { t.Write(v.addr, x) }
-
-func (v *cacheVar) CAS(t *core.Thread, old, nv uint64) bool {
-	return t.CAS(v.addr, old, nv)
+func (v *cacheVar) Load(t *core.Task, then func(uint64))      { t.Read(v.addr, then) }
+func (v *cacheVar) Store(t *core.Task, x uint64, then func()) { t.Write(v.addr, x, then) }
+func (v *cacheVar) CAS(t *core.Task, old, nv uint64, then func(bool)) {
+	t.CAS(v.addr, old, nv, then)
 }
-
-func (v *cacheVar) FetchAdd(t *core.Thread, d uint64) uint64 {
-	return t.FetchAdd(v.addr, d)
+func (v *cacheVar) FetchAdd(t *core.Task, d uint64, then func(uint64)) {
+	t.FetchAdd(v.addr, d, then)
 }
-
-func (v *cacheVar) SpinUntil(t *core.Thread, cond func(uint64) bool) uint64 {
-	return t.SpinUntil(v.addr, cond)
+func (v *cacheVar) SpinUntil(t *core.Task, cond func(uint64) bool, then func(uint64)) {
+	t.SpinUntil(v.addr, cond, then)
 }
 
 func (v *cacheVar) InBM() bool { return false }
@@ -29,19 +26,16 @@ type bmVar struct {
 	addr uint32
 }
 
-func (v *bmVar) Load(t *core.Thread) uint64     { return t.BMLoad(v.addr) }
-func (v *bmVar) Store(t *core.Thread, x uint64) { t.BMStore(v.addr, x) }
-
-func (v *bmVar) CAS(t *core.Thread, old, nv uint64) bool {
-	return t.BMCAS(v.addr, old, nv)
+func (v *bmVar) Load(t *core.Task, then func(uint64))      { t.BMLoad(v.addr, then) }
+func (v *bmVar) Store(t *core.Task, x uint64, then func()) { t.BMStore(v.addr, x, then) }
+func (v *bmVar) CAS(t *core.Task, old, nv uint64, then func(bool)) {
+	t.BMCAS(v.addr, old, nv, then)
 }
-
-func (v *bmVar) FetchAdd(t *core.Thread, d uint64) uint64 {
-	return t.BMFetchAdd(v.addr, d)
+func (v *bmVar) FetchAdd(t *core.Task, d uint64, then func(uint64)) {
+	t.BMFetchAdd(v.addr, d, then)
 }
-
-func (v *bmVar) SpinUntil(t *core.Thread, cond func(uint64) bool) uint64 {
-	return t.BMSpinUntil(v.addr, cond)
+func (v *bmVar) SpinUntil(t *core.Task, cond func(uint64) bool, then func(uint64)) {
+	t.BMSpinUntil(v.addr, cond, then)
 }
 
 func (v *bmVar) InBM() bool { return true }

@@ -140,34 +140,41 @@ func New(eng *sim.Engine, bm *bmem.BM, net *wireless.Network, p Params) *Control
 // participant nodes (the runtime must know participation up front; nodes
 // not armed here refuse to join, Section 4.4). It allocates the backing BM
 // entry, broadcasts the allocation, and installs the AllocB entry on every
-// node. It returns the BM address of the barrier variable.
-func (c *Controller) Allocate(p *sim.Proc, node int, pid uint16, participants []int) (uint32, error) {
+// node; then receives the BM address of the barrier variable, or the
+// error. Table and quota errors are delivered before any simulated time
+// elapses.
+func (c *Controller) Allocate(node int, pid uint16, participants []int, then func(uint32, error)) {
 	if len(participants) == 0 {
-		return 0, fmt.Errorf("tone: barrier with no participants")
+		then(0, fmt.Errorf("tone: barrier with no participants"))
+		return
 	}
 	if len(c.alloc) >= c.p.TableSize {
-		return 0, ErrTableFull
+		then(0, ErrTableFull)
+		return
 	}
 	if c.byPID[pid] >= c.p.MaxPerPID {
-		return 0, ErrPIDQuota
+		then(0, ErrPIDQuota)
+		return
 	}
-	addr, err := c.bm.Alloc(p, node, pid, true)
+	err := c.bm.Alloc(node, pid, true, func(addr uint32) {
+		e := &allocEntry{addr: addr, pid: pid}
+		for _, n := range participants {
+			if n < 0 || n >= c.nodes {
+				then(0, fmt.Errorf("tone: participant %d out of range", n))
+				return
+			}
+			if !e.armed.has(n) {
+				e.armed.set(n)
+				e.nArm++
+			}
+		}
+		c.alloc = append(c.alloc, e)
+		c.byPID[pid]++
+		then(addr, nil)
+	})
 	if err != nil {
-		return 0, err
+		then(0, err)
 	}
-	e := &allocEntry{addr: addr, pid: pid}
-	for _, n := range participants {
-		if n < 0 || n >= c.nodes {
-			return 0, fmt.Errorf("tone: participant %d out of range", n)
-		}
-		if !e.armed.has(n) {
-			e.armed.set(n)
-			e.nArm++
-		}
-	}
-	c.alloc = append(c.alloc, e)
-	c.byPID[pid]++
-	return addr, nil
 }
 
 // AllocateBare is Allocate without simulated time, for harness setup.
@@ -198,8 +205,9 @@ func (c *Controller) AllocateBare(pid uint16, participants []int) (uint32, error
 }
 
 // Deallocate removes the barrier's AllocB entry everywhere and frees its BM
-// entry. Deallocating an active barrier is a program error.
-func (c *Controller) Deallocate(p *sim.Proc, node int, pid uint16, addr uint32) error {
+// entry; then runs once the free broadcast commits. Deallocating an active
+// barrier is a program error, reported before any simulated time elapses.
+func (c *Controller) Deallocate(node int, pid uint16, addr uint32, then func()) error {
 	if c.findActive(addr) != nil {
 		return fmt.Errorf("tone: deallocate of active barrier at %d", addr)
 	}
@@ -207,12 +215,11 @@ func (c *Controller) Deallocate(p *sim.Proc, node int, pid uint16, addr uint32) 
 	if ae == nil {
 		return fmt.Errorf("tone: deallocate of unallocated barrier at %d", addr)
 	}
-	if err := c.bm.Free(p, node, pid, addr); err != nil {
-		return err
-	}
-	c.removeAlloc(addr)
-	c.byPID[pid]--
-	return nil
+	return c.bm.Free(node, pid, addr, func() {
+		c.removeAlloc(addr)
+		c.byPID[pid]--
+		then()
+	})
 }
 
 func (c *Controller) findAlloc(addr uint32) *allocEntry {

@@ -7,6 +7,7 @@ import (
 
 	"wisync/internal/bmem"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 	"wisync/internal/wireless"
 )
 
@@ -18,26 +19,34 @@ func newCtl(t *testing.T, nodes int) (*sim.Engine, *bmem.BM, *Controller) {
 	return eng, bm, New(eng, bm, net, DefaultParams())
 }
 
-// toneBarrierWait performs one full sense-reversing tone barrier episode.
-func toneBarrierWait(p *sim.Proc, c *Controller, bm *bmem.BM, node int, addr uint32, sense uint64) {
-	if err := c.ToneStore(p, node, 1, addr); err != nil {
-		panic(err)
-	}
-	for {
-		v, err := c.ToneLoad(p, node, 1, addr)
-		if err != nil {
+// barrierWait performs one full sense-reversing tone barrier episode for
+// pid: tone_st, then tone_ld polls until the variable reads sense.
+func barrierWait(c *Controller, node int, pid uint16, addr uint32, sense uint64) simtest.Op {
+	return func(next func()) {
+		if err := c.ToneStore(node, pid, addr, func() {
+			if err := c.WaitToggle(node, pid, addr, sense, func(uint64) { next() }); err != nil {
+				panic(err)
+			}
+		}); err != nil {
 			panic(err)
 		}
-		if v == sense {
-			return
-		}
-		bm.WaitChange(p, node, addr)
 	}
+}
+
+// toneBarrierWait is barrierWait for PID 1.
+func toneBarrierWait(c *Controller, node int, addr uint32, sense uint64) simtest.Op {
+	return barrierWait(c, node, 1, addr, sense)
+}
+
+// sleepRand is the Op sleeping a random 0..n-1 cycles, drawn from the
+// engine's stream when it runs.
+func sleepRand(eng *sim.Engine, n int) simtest.Op {
+	return func(next func()) { eng.SleepThen(sim.Time(eng.Rand().Intn(n)), next) }
 }
 
 func TestSingleBarrierAllArrive(t *testing.T) {
 	const n = 8
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = i
@@ -48,12 +57,10 @@ func TestSingleBarrierAllArrive(t *testing.T) {
 	}
 	var releases []sim.Time
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 10)) // skewed arrivals
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			releases = append(releases, p.Now())
-		})
+		simtest.Seq(eng, fmt.Sprintf("t%d", i),
+			simtest.Sleep(eng, sim.Time(i*10)), // skewed arrivals
+			toneBarrierWait(c, i, addr, 1),
+			simtest.Do(func() { releases = append(releases, eng.Now()) }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -82,7 +89,7 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 	// All nodes arrive in the same cycle: several init messages contend,
 	// one activates the barrier, the rest are withdrawn.
 	const n = 16
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = i
@@ -90,11 +97,7 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 	addr, _ := c.AllocateBare(1, parts)
 	var done int
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			done++
-		})
+		simtest.Seq(eng, fmt.Sprintf("t%d", i), toneBarrierWait(c, i, addr, 1), simtest.Do(func() { done++ }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -113,20 +116,16 @@ func TestSimultaneousArrivalsOneActivation(t *testing.T) {
 func TestSenseReversingReuse(t *testing.T) {
 	// Three consecutive barrier episodes through the same variable.
 	const n, episodes = 4, 3
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	addr, _ := c.AllocateBare(1, []int{0, 1, 2, 3})
 	var finished int
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			sense := uint64(1)
-			for e := 0; e < episodes; e++ {
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(40)))
-				toneBarrierWait(p, c, bm, i, addr, sense)
-				sense ^= 1
-			}
-			finished++
-		})
+		simtest.Seq(eng, fmt.Sprintf("t%d", i),
+			simtest.Repeat(episodes, func(e int) simtest.Op {
+				sense := uint64(1 - e%2)
+				return simtest.Chain(sleepRand(eng, 40), toneBarrierWait(c, i, addr, sense))
+			}),
+			simtest.Do(func() { finished++ }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -143,27 +142,25 @@ func TestBarrierSynchrony(t *testing.T) {
 	// Property: no thread passes barrier k until every thread reached
 	// barrier k. Track phase counts.
 	const n, episodes = 8, 5
-	eng, bm, c := newCtl(t, n)
+	eng, _, c := newCtl(t, n)
 	parts := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	addr, _ := c.AllocateBare(1, parts)
 	phase := make([]int, n)
 	for i := 0; i < n; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			sense := uint64(1)
-			for e := 0; e < episodes; e++ {
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(60)))
-				phase[i] = e
-				toneBarrierWait(p, c, bm, i, addr, sense)
+		simtest.Seq(eng, fmt.Sprintf("t%d", i), simtest.Repeat(episodes, func(e int) simtest.Op {
+			return simtest.Chain(
+				sleepRand(eng, 60),
+				simtest.Do(func() { phase[i] = e }),
+				toneBarrierWait(c, i, addr, uint64(1-e%2)),
 				// At release, every thread must have reached e.
-				for j := 0; j < n; j++ {
-					if phase[j] < e {
-						t.Errorf("thread %d passed barrier %d while thread %d at %d", i, e, j, phase[j])
+				simtest.Do(func() {
+					for j := 0; j < n; j++ {
+						if phase[j] < e {
+							t.Errorf("thread %d passed barrier %d while thread %d at %d", i, e, j, phase[j])
+						}
 					}
-				}
-				sense ^= 1
-			}
-		})
+				}))
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -173,13 +170,11 @@ func TestBarrierSynchrony(t *testing.T) {
 func TestNonParticipantRejected(t *testing.T) {
 	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("outsider", func(p *sim.Proc) {
-		err := c.ToneStore(p, 3, 1, addr)
-		var npe *NotParticipantError
-		if !errors.As(err, &npe) {
-			t.Errorf("err = %v, want NotParticipantError", err)
-		}
-	})
+	err := c.ToneStore(3, 1, addr, func() { t.Error("outsider's tone_st completed") })
+	var npe *NotParticipantError
+	if !errors.As(err, &npe) {
+		t.Errorf("err = %v, want NotParticipantError", err)
+	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +183,14 @@ func TestNonParticipantRejected(t *testing.T) {
 func TestSubsetParticipants(t *testing.T) {
 	// Only cores 0 and 2 participate; the barrier completes without any
 	// action from cores 1 and 3.
-	eng, bm, c := newCtl(t, 4)
+	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 2})
 	var done int
 	for _, i := range []int{0, 2} {
-		i := i
-		eng.Go(fmt.Sprintf("t%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(10 * i))
-			toneBarrierWait(p, c, bm, i, addr, 1)
-			done++
-		})
+		simtest.Seq(eng, fmt.Sprintf("t%d", i),
+			simtest.Sleep(eng, sim.Time(10*i)),
+			toneBarrierWait(c, i, addr, 1),
+			simtest.Do(func() { done++ }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -210,45 +203,21 @@ func TestSubsetParticipants(t *testing.T) {
 func TestTwoConcurrentBarriersShareToneChannel(t *testing.T) {
 	// Two programs run independent tone barriers at the same time; slot
 	// multiplexing must keep them independent and both must complete.
-	eng, bm, c := newCtl(t, 8)
+	eng, _, c := newCtl(t, 8)
 	addrA, _ := c.AllocateBare(1, []int{0, 1, 2, 3})
 	addrB, _ := c.AllocateBare(2, []int{4, 5, 6, 7})
 	var doneA, doneB int
 	for i := 0; i < 4; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("a%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 7))
-			if err := c.ToneStore(p, i, 1, addrA); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				v, _ := c.ToneLoad(p, i, 1, addrA)
-				if v == 1 {
-					break
-				}
-				bm.WaitChange(p, i, addrA)
-			}
-			doneA++
-		})
+		simtest.Seq(eng, fmt.Sprintf("a%d", i),
+			simtest.Sleep(eng, sim.Time(i*7)),
+			barrierWait(c, i, 1, addrA, 1),
+			simtest.Do(func() { doneA++ }))
 	}
 	for i := 4; i < 8; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("b%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i * 11))
-			if err := c.ToneStore(p, i, 2, addrB); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				v, _ := c.ToneLoad(p, i, 2, addrB)
-				if v == 1 {
-					break
-				}
-				bm.WaitChange(p, i, addrB)
-			}
-			doneB++
-		})
+		simtest.Seq(eng, fmt.Sprintf("b%d", i),
+			simtest.Sleep(eng, sim.Time(i*11)),
+			barrierWait(c, i, 2, addrB, 1),
+			simtest.Do(func() { doneB++ }))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -301,55 +270,70 @@ func TestPerPIDQuota(t *testing.T) {
 
 func TestDeallocate(t *testing.T) {
 	eng, bm, c := newCtl(t, 4)
-	_ = bm
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("p", func(p *sim.Proc) {
-		if err := c.Deallocate(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
-		}
+	var frees uint64
+	simtest.Seq(eng, "p",
+		func(next func()) {
+			if err := c.Deallocate(0, 1, addr, next); err != nil {
+				t.Fatal(err)
+			}
+		},
+		simtest.Do(func() {
+			if ok, _ := bm.Allocated(addr); ok {
+				t.Error("BM entry still allocated after the free broadcast committed")
+			}
+			frees = bm.Stats.Frees
+		}),
 		// The AllocB slot and quota are released.
-		if _, err := c.Allocate(p, 0, 1, []int{0, 1}); err != nil {
-			t.Errorf("re-allocate after dealloc: %v", err)
-		}
-	})
+		func(next func()) {
+			c.Allocate(0, 1, []int{0, 1}, func(a uint32, err error) {
+				if err != nil {
+					t.Errorf("re-allocate after dealloc: %v", err)
+				} else if !c.Armed(a, 1) || c.Armed(a, 2) {
+					t.Errorf("re-allocated barrier at %d armed wrong participants", a)
+				}
+				next()
+			})
+		})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if frees != 1 || bm.Stats.Allocs != 2 {
+		t.Errorf("frees/allocs = %d/%d, want 1/2 (one timed broadcast each)", frees, bm.Stats.Allocs)
 	}
 }
 
 func TestDeallocateActiveBarrierFails(t *testing.T) {
 	eng, _, c := newCtl(t, 4)
 	addr, _ := c.AllocateBare(1, []int{0, 1})
-	eng.Go("t0", func(p *sim.Proc) {
-		if err := c.ToneStore(p, 0, 1, addr); err != nil {
-			t.Fatal(err)
+	toneStore := func(node int) simtest.Op {
+		return func(next func()) {
+			if err := c.ToneStore(node, 1, addr, next); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	simtest.Seq(eng, "t0", toneStore(0), simtest.Do(func() {
 		// Barrier now active (waiting for core 1).
-		if err := c.Deallocate(p, 0, 1, addr); err == nil {
+		if err := c.Deallocate(0, 1, addr, func() {}); err == nil {
 			t.Error("deallocated an active barrier")
 		}
-		// Let core 1 arrive so the run terminates.
-	})
-	eng.Go("t1", func(p *sim.Proc) {
-		p.Sleep(50)
-		if err := c.ToneStore(p, 1, 1, addr); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}))
+	// Let core 1 arrive so the run terminates.
+	simtest.Seq(eng, "t1", simtest.Sleep(eng, 50), toneStore(1))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSingleParticipantBarrier(t *testing.T) {
-	eng, bm, c := newCtl(t, 2)
+	eng, _, c := newCtl(t, 2)
 	addr, _ := c.AllocateBare(1, []int{0})
-	eng.Go("solo", func(p *sim.Proc) {
-		toneBarrierWait(p, c, bm, 0, addr, 1)
-		if p.Now() > 30 {
-			t.Errorf("solo barrier took %d cycles", p.Now())
+	simtest.Seq(eng, "solo", toneBarrierWait(c, 0, addr, 1), simtest.Do(func() {
+		if eng.Now() > 30 {
+			t.Errorf("solo barrier took %d cycles", eng.Now())
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +343,7 @@ func TestDetectionDelayGrowsWithActiveBarriers(t *testing.T) {
 	// With K active barriers the channel is time-multiplexed; a barrier's
 	// silence detection can only happen in its own slots. We verify the
 	// stat exists and completion still works with 3 concurrent barriers.
-	eng, bm, c := newCtl(t, 12)
+	eng, _, c := newCtl(t, 12)
 	var addrs []uint32
 	for g := 0; g < 3; g++ {
 		parts := []int{g * 4, g*4 + 1, g*4 + 2, g*4 + 3}
@@ -372,21 +356,9 @@ func TestDetectionDelayGrowsWithActiveBarriers(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		for k := 0; k < 4; k++ {
 			node := g*4 + k
-			g, node := g, node
-			eng.Go(fmt.Sprintf("g%dn%d", g, node), func(p *sim.Proc) {
-				p.Sleep(sim.Time(node * 3))
-				if err := c.ToneStore(p, node, uint16(g+1), addrs[g]); err != nil {
-					t.Error(err)
-					return
-				}
-				for {
-					v, _ := c.ToneLoad(p, node, uint16(g+1), addrs[g])
-					if v == 1 {
-						break
-					}
-					bm.WaitChange(p, node, addrs[g])
-				}
-			})
+			simtest.Seq(eng, fmt.Sprintf("g%dn%d", g, node),
+				simtest.Sleep(eng, sim.Time(node*3)),
+				barrierWait(c, node, uint16(g+1), addrs[g], 1))
 		}
 	}
 	if err := eng.Run(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 // adaptiveTestParams shrinks the decision window so the synthetic
@@ -36,25 +37,16 @@ func TestAdaptiveMACSwitchesUnderBurstSchedule(t *testing.T) {
 	n.Subscribe(func(Msg, sim.Time) { modes = append(modes, am.Mode()) })
 
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			// Phase 1: every node transmits at the same cycle each round.
-			for r := 0; r < rounds; r++ {
-				if start := sim.Time(r) * roundGap; start > p.Now() {
-					p.Sleep(start - p.Now())
-				}
-				n.Send(p, Msg{Src: c}, nil)
-			}
-			// Phase 2: only node 0 keeps sending, back to back.
-			if c == 0 {
-				if start := sim.Time(rounds) * roundGap; start > p.Now() {
-					p.Sleep(start - p.Now())
-				}
-				for i := 0; i < 48; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-				}
-			}
-		})
+		// Phase 1: every node transmits at the same cycle each round.
+		ops := []simtest.Op{simtest.Repeat(rounds, func(r int) simtest.Op {
+			return simtest.Chain(simtest.SleepUntil(eng, sim.Time(r)*roundGap), send(n, Msg{Src: c}, nil, nil))
+		})}
+		// Phase 2: only node 0 keeps sending, back to back.
+		if c == 0 {
+			ops = append(ops, simtest.SleepUntil(eng, sim.Time(rounds)*roundGap),
+				simtest.Repeat(48, func(int) simtest.Op { return send(n, Msg{Src: c}, nil, nil) }))
+		}
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), ops...)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -105,15 +97,12 @@ func TestAdaptiveMACStaysInBackoffWhenUncontended(t *testing.T) {
 	p.MAC = MACAdaptive
 	n := New(eng, 16, p)
 	for c := 0; c < 4; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
+		simtest.Seq(eng, fmt.Sprintf("n%d", c),
 			// Staggered starts: sparse means no simultaneous arrivals.
-			p.Sleep(sim.Time(1 + 17*c))
-			for i := 0; i < 20; i++ {
-				n.Send(p, Msg{Src: c}, nil)
-				p.Sleep(sim.Time(50 + 13*c))
-			}
-		})
+			simtest.Sleep(eng, sim.Time(1+17*c)),
+			simtest.Repeat(20, func(int) simtest.Op {
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), simtest.Sleep(eng, sim.Time(50+13*c)))
+			}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -144,34 +133,34 @@ func TestAdaptiveMACDeliversEverythingAcrossSwitches(t *testing.T) {
 	})
 	var sent int
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			seq := uint64(0)
-			for ph := 0; ph < phases; ph++ {
-				if start := sim.Time(ph) * 700; start > p.Now() {
-					p.Sleep(start - p.Now())
+		seq := uint64(0)
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(phases, func(ph int) simtest.Op {
+			// Even phases: synchronized burst from everyone. Odd phases:
+			// only low nodes trickle.
+			msgs, gap := 2, sim.Time(0)
+			if ph%2 == 1 {
+				if c >= 4 {
+					return simtest.SleepUntil(eng, sim.Time(ph)*700)
 				}
-				// Even phases: synchronized burst from everyone. Odd
-				// phases: only low nodes trickle.
-				msgs := 2
-				if ph%2 == 1 {
-					if c >= 4 {
-						continue
-					}
-					msgs = 6
-				}
-				for i := 0; i < msgs; i++ {
-					if !n.Send(p, Msg{Src: c, Val: seq}, nil) {
-						t.Errorf("node %d seq %d failed", c, seq)
-					}
-					seq++
-					sent++
-					if ph%2 == 1 {
-						p.Sleep(40)
-					}
-				}
+				msgs, gap = 6, 40
 			}
-		})
+			return simtest.Chain(simtest.SleepUntil(eng, sim.Time(ph)*700), simtest.Repeat(msgs, func(int) simtest.Op {
+				return func(next func()) {
+					n.Send(Msg{Src: c, Val: seq}, nil, func(committed bool) {
+						if !committed {
+							t.Errorf("node %d seq %d failed", c, seq)
+						}
+						seq++
+						sent++
+						if gap == 0 {
+							next()
+							return
+						}
+						eng.SleepThen(gap, next)
+					})
+				}
+			}))
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -199,13 +188,9 @@ func TestAdaptiveMACDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 8; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
-			})
+			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(8, func(int) simtest.Op {
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

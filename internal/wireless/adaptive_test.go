@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 // TestAdaptiveBackoffSharedEstimate exercises the Section 5.3 reactive
@@ -17,15 +18,9 @@ func TestAdaptiveBackoffSharedEstimate(t *testing.T) {
 	p.Backoff = BackoffAdaptive
 	n := New(eng, 32, p)
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				if !n.Send(pp, Msg{Src: c}, nil) {
-					t.Errorf("node %d send failed", c)
-				}
-				pp.Sleep(sim.Time(pp.Engine().Rand().Intn(20)))
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(3, func(int) simtest.Op {
+			return simtest.Chain(send(n, Msg{Src: c}, nil, mustCommit(t, fmt.Sprintf("node %d send", c))), sleepRand(eng, 20))
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -49,10 +44,7 @@ func TestAdaptiveNoWorseThanPersistentUnderBurst(t *testing.T) {
 		p.Backoff = pol
 		n := New(eng, 32, p)
 		for c := 0; c < 32; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-				n.Send(pp, Msg{Src: c}, nil)
-			})
+			simtest.Seq(eng, fmt.Sprintf("n%d", c), send(n, Msg{Src: c}, nil, nil))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

@@ -1,18 +1,17 @@
 package wireless
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"wisync/internal/sim"
 )
 
-// TestSendAsyncMirrorsSend drives a transmission scenario through SendAsync
-// (continuation chains, no processes) and asserts the completions are the
-// ones the blocking Send (one process per message) produced: same nodes,
-// same commit/withdraw outcomes, same cycles, in the same order, with the
-// same channel statistics. The scenario covers
+// TestSendAsyncMirrorsSend drives a transmission scenario through Send and
+// asserts the completions are the ones recorded from the earlier blocking
+// Send (one goroutine-backed process per message): same nodes, same
+// commit/withdraw outcomes, same cycles, in the same order, with the same
+// channel statistics. The scenario covers
 // every completion path: clean commits, a same-slot collision with
 // backoff, FIFO deferral behind a busy channel, a grant-abandoned message
 // (prepare hook), and a transfer withdrawn while deferred.
@@ -28,7 +27,7 @@ func TestSendAsyncMirrorsSend(t *testing.T) {
 		start sim.Time
 	}{{0, 0}, {1, 0}, {2, 3}, {3, 5}, {4, 5}, {5, 6}, {6, 6}, {7, 40}}
 
-	run := func(async bool) ([]done, Stats) {
+	run := func() ([]done, Stats) {
 		eng := sim.NewEngine(7)
 		n := New(eng, nodes, Params{})
 		// Node 3's message is stale at grant time and must be abandoned.
@@ -45,19 +44,11 @@ func TestSendAsyncMirrorsSend(t *testing.T) {
 			if sd.node == 5 {
 				tok = &cancelTok
 			}
-			if async {
-				eng.ScheduleAt(sd.start, sim.PrioNormal, func() {
-					n.SendAsync(msg, tok, func(committed bool) {
-						results = append(results, done{sd.node, eng.Now(), committed})
-					})
+			eng.ScheduleAt(sd.start, sim.PrioNormal, func() {
+				n.Send(msg, tok, func(committed bool) {
+					results = append(results, done{sd.node, eng.Now(), committed})
 				})
-			} else {
-				eng.Go(fmt.Sprintf("n%d", sd.node), func(p *sim.Proc) {
-					p.SleepUntil(sd.start)
-					ok := n.Send(p, msg, tok)
-					results = append(results, done{sd.node, eng.Now(), ok})
-				})
-			}
+			})
 		}
 		// Withdraw node 5's transfer while it is still deferred behind the
 		// busy channel.
@@ -68,8 +59,7 @@ func TestSendAsyncMirrorsSend(t *testing.T) {
 		return results, n.Stats
 	}
 
-	blocking, blockingStats := run(false)
-	async, asyncStats := run(true)
+	got, gotStats := run()
 	// The completions and statistics the blocking Send produced, recorded
 	// as the reference.
 	want := []done{
@@ -79,25 +69,21 @@ func TestSendAsyncMirrorsSend(t *testing.T) {
 		{Node: 6, At: 27, Committed: true}, {Node: 7, At: 45, Committed: true},
 	}
 	wantStats := Stats{Messages: 6, Collisions: 1, Withdrawn: 1, SkippedGrants: 1, BusyCycles: 32, LatencySum: 76}
-	if !reflect.DeepEqual(blocking, want) || blockingStats != wantStats {
-		t.Errorf("blocking completions diverged from the reference:\n got: %+v %+v\nwant: %+v %+v",
-			blocking, blockingStats, want, wantStats)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("completions diverged from the blocking reference:\n got: %+v\nwant: %+v", got, want)
 	}
-	if !reflect.DeepEqual(async, want) {
-		t.Errorf("completions diverged from the blocking reference:\n got: %+v\nwant: %+v", async, want)
-	}
-	if asyncStats != wantStats {
-		t.Errorf("stats diverged from the blocking reference:\n got: %+v\nwant: %+v", asyncStats, wantStats)
+	if gotStats != wantStats {
+		t.Errorf("stats diverged from the blocking reference:\n got: %+v\nwant: %+v", gotStats, wantStats)
 	}
 	// The scenario must genuinely exercise the non-commit completions.
-	if asyncStats.Withdrawn == 0 {
+	if gotStats.Withdrawn == 0 {
 		t.Error("scenario exercised no withdrawal; move the Cancel earlier")
 	}
-	if asyncStats.SkippedGrants == 0 {
+	if gotStats.SkippedGrants == 0 {
 		t.Error("scenario exercised no grant abandon; check the prepare hook")
 	}
 	var fails int
-	for _, d := range async {
+	for _, d := range got {
 		if !d.Committed {
 			fails++
 		}

@@ -1,11 +1,13 @@
 package wireless
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"wisync/internal/channel"
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 func lossyParams(ber float64, retries int) Params {
@@ -24,13 +26,9 @@ func TestRetransmissionRedelivers(t *testing.T) {
 	const sends = 200
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
-	eng.Go("tx", func(p *sim.Proc) {
-		for i := 0; i < sends; i++ {
-			if !n.Send(p, Msg{Src: i % 16, Addr: uint32(i)}, nil) {
-				t.Errorf("send %d failed with a 50-retry budget", i)
-			}
-		}
-	})
+	simtest.Seq(eng, "tx", simtest.Repeat(sends, func(i int) simtest.Op {
+		return send(n, Msg{Src: i % 16, Addr: uint32(i)}, nil, mustCommit(t, fmt.Sprintf("send %d with a 50-retry budget", i)))
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +65,15 @@ func TestRetransmissionExhaustion(t *testing.T) {
 	n := New(eng, 16, lossyParams(0.5, 3))
 	var delivered int
 	n.Subscribe(func(Msg, sim.Time) { delivered++ })
-	eng.Go("tx", func(p *sim.Proc) {
-		if n.Send(p, Msg{Src: 0, Addr: 1}, nil) {
+	simtest.Seq(eng, "tx", send(n, Msg{Src: 0, Addr: 1}, nil, func(committed bool) {
+		if committed {
 			t.Error("send committed on a channel that corrupts every frame")
 		}
 		// 1 attempt + 3 retries, 5 cycles each.
-		if p.Now() != 20 {
-			t.Errorf("sender resumed at %d, want 20", p.Now())
+		if eng.Now() != 20 {
+			t.Errorf("sender resumed at %d, want 20", eng.Now())
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +96,13 @@ func TestEnergyLedgerConservation(t *testing.T) {
 	eng := sim.NewEngine(11)
 	n := New(eng, 8, lossyParams(2e-3, 50))
 	for i := 0; i < 8; i++ {
-		i := i
-		eng.Go("tx", func(p *sim.Proc) {
-			for j := 0; j < 25; j++ {
-				kind := KindStore
-				if j%5 == 0 {
-					kind = KindBulk
-				}
-				n.Send(p, Msg{Src: i, Addr: uint32(j), Kind: kind}, nil)
+		simtest.Seq(eng, "tx", simtest.Repeat(25, func(j int) simtest.Op {
+			kind := KindStore
+			if j%5 == 0 {
+				kind = KindBulk
 			}
-		})
+			return send(n, Msg{Src: i, Addr: uint32(j), Kind: kind}, nil, nil)
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -157,13 +152,9 @@ func TestIdealChannelUnperturbed(t *testing.T) {
 
 	eng := sim.NewEngine(5)
 	n := New(eng, 8, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		for j := 0; j < 50; j++ {
-			if !n.Send(p, Msg{Src: j % 8}, nil) {
-				t.Error("ideal-channel send failed")
-			}
-		}
-	})
+	simtest.Seq(eng, "tx", simtest.Repeat(50, func(j int) simtest.Op {
+		return send(n, Msg{Src: j % 8}, nil, mustCommit(t, "ideal-channel send"))
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

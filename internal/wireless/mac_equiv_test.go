@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 // commitTrace runs a fixed contended scenario — 16 nodes, 4 messages each,
@@ -21,22 +22,15 @@ func commitTrace(p Params, seed uint64) []string {
 	})
 	var tok Token
 	for c := 0; c < 16; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 4; i++ {
-				t := &Token{}
-				if c == 3 && i == 2 {
-					t = &tok
-				}
-				n.Send(pp, Msg{Src: c, Val: uint64(i)}, t)
-				pp.Sleep(sim.Time(pp.Engine().Rand().Intn(9)))
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(4, func(i int) simtest.Op {
+			t := &Token{}
+			if c == 3 && i == 2 {
+				t = &tok
 			}
-		})
+			return simtest.Chain(send(n, Msg{Src: c, Val: uint64(i)}, t, nil), sleepRand(eng, 9))
+		}))
 	}
-	eng.Go("canceler", func(pp *sim.Proc) {
-		pp.Sleep(7)
-		tok.Cancel()
-	})
+	simtest.Seq(eng, "canceler", simtest.Sleep(eng, 7), simtest.Do(func() { tok.Cancel() }))
 	if err := eng.Run(); err != nil {
 		panic(err)
 	}

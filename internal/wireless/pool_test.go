@@ -26,7 +26,7 @@ func TestRequestPoolRecycle(t *testing.T) {
 			return
 		}
 		sent++
-		n.SendAsync(Msg{Src: sent % 4, Addr: 7, Val: uint64(sent)}, nil, issue)
+		n.Send(Msg{Src: sent % 4, Addr: 7, Val: uint64(sent)}, nil, issue)
 	}
 	eng.Schedule(0, func() { issue(true) })
 	if err := eng.Run(); err != nil {
@@ -52,13 +52,13 @@ func TestStaleTokenCancel(t *testing.T) {
 	var tok Token
 	second := false
 	eng.Schedule(0, func() {
-		n.SendAsync(Msg{Src: 0, Addr: 1, Val: 1}, &tok, func(committed bool) {
+		n.Send(Msg{Src: 0, Addr: 1, Val: 1}, &tok, func(committed bool) {
 			if !committed {
 				t.Error("first message did not commit")
 			}
 			// The record just returned to the pool; reissue it for a
 			// different sender, without a token.
-			n.SendAsync(Msg{Src: 1, Addr: 2, Val: 2}, nil, func(committed bool) {
+			n.Send(Msg{Src: 1, Addr: 2, Val: 2}, nil, func(committed bool) {
 				second = committed
 			})
 			if tok.Cancel() {
@@ -88,10 +88,10 @@ func TestCanceledRequestNotPooled(t *testing.T) {
 	canceled := false
 	eng.Schedule(0, func() {
 		// Occupies the channel for MsgCycles; the second send defers.
-		n.SendAsync(Msg{Src: 0, Addr: 1, Val: 1}, nil, func(bool) {})
+		n.Send(Msg{Src: 0, Addr: 1, Val: 1}, nil, func(bool) {})
 	})
 	eng.Schedule(1, func() {
-		n.SendAsync(Msg{Src: 1, Addr: 2, Val: 2}, &tok, func(committed bool) {
+		n.Send(Msg{Src: 1, Addr: 2, Val: 2}, &tok, func(committed bool) {
 			canceled = !committed
 		})
 	})
@@ -131,7 +131,7 @@ func TestSendAsyncAllocFree(t *testing.T) {
 			return
 		}
 		left--
-		n.SendAsync(Msg{Src: 1, Addr: 3, Val: 9}, nil, issue)
+		n.Send(Msg{Src: 1, Addr: 3, Val: 9}, nil, issue)
 	}
 	start := func() { issue(true) }
 	run := func(k int) {
@@ -149,6 +149,6 @@ func TestSendAsyncAllocFree(t *testing.T) {
 	run(msgs)
 	runtime.ReadMemStats(&after)
 	if d := after.Mallocs - before.Mallocs; d != 0 {
-		t.Errorf("steady-state SendAsync allocated %d objects over %d messages, want 0", d, msgs)
+		t.Errorf("steady-state Send allocated %d objects over %d messages, want 0", d, msgs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
 
 func tokenParams() Params {
@@ -31,15 +32,11 @@ func TestTokenNeverCollides(t *testing.T) {
 	})
 	const msgsPerNode = 5
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < msgsPerNode; i++ {
-				if !n.Send(p, Msg{Src: c, Val: uint64(i)}, nil) {
-					t.Errorf("node %d msg %d failed", c, i)
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(30)))
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(msgsPerNode, func(i int) simtest.Op {
+			return simtest.Chain(
+				send(n, Msg{Src: c, Val: uint64(i)}, nil, mustCommit(t, fmt.Sprintf("node %d msg %d", c, i))),
+				sleepRand(eng, 30))
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -78,16 +75,10 @@ func TestTokenFairnessUnderSaturation(t *testing.T) {
 	n.Subscribe(func(m Msg, _ sim.Time) { grants[m.Src]++ })
 	stop := sim.Time(20000)
 	for c := 0; c < nodes; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for p.Now() < stop {
-				n.Send(p, Msg{Src: c}, nil)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c),
+			simtest.While(func() bool { return eng.Now() < stop }, send(n, Msg{Src: c}, nil, nil)))
 	}
-	if err := eng.RunUntil(stop); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(stop)
 	eng.Shutdown()
 	min, max := grants[0], grants[0]
 	for _, g := range grants[1:] {
@@ -123,11 +114,7 @@ func TestTokenLoneSenderPaysRotation(t *testing.T) {
 	n := New(eng, nodes, tokenParams())
 	var commits []sim.Time
 	n.Subscribe(func(_ Msg, at sim.Time) { commits = append(commits, at) })
-	eng.Go("n0", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			n.Send(p, Msg{Src: 0}, nil)
-		}
-	})
+	simtest.Seq(eng, "n0", simtest.Repeat(3, func(int) simtest.Op { return send(n, Msg{Src: 0}, nil, nil) }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,27 +139,18 @@ func TestTokenCancelWhileQueued(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	var tok Token
-	eng.Go("blocker", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil) // wins the first grant
-	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		if n.Send(p, Msg{Src: 1}, &tok) {
+	simtest.Seq(eng, "blocker", send(n, Msg{Src: 0}, nil, nil)) // wins the first grant
+	simtest.Seq(eng, "victim", simtest.Sleep(eng, 1), send(n, Msg{Src: 1}, &tok, func(committed bool) {
+		if committed {
 			t.Error("canceled Send reported commit")
 		}
-	})
-	eng.Go("bystander", func(p *sim.Proc) {
-		p.Sleep(1)
-		if !n.Send(p, Msg{Src: 2}, nil) {
-			t.Error("bystander send failed")
-		}
-	})
-	eng.Go("canceler", func(p *sim.Proc) {
-		p.Sleep(3)
+	}))
+	simtest.Seq(eng, "bystander", simtest.Sleep(eng, 1), send(n, Msg{Src: 2}, nil, mustCommit(t, "bystander send")))
+	simtest.Seq(eng, "canceler", simtest.Sleep(eng, 3), simtest.Do(func() {
 		if !tok.Cancel() {
 			t.Error("Cancel returned false for a token-queued request")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +173,9 @@ func TestTokenDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 4; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
-			})
+			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(4, func(int) simtest.Op {
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)

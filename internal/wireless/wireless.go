@@ -210,11 +210,8 @@ const (
 )
 
 type request struct {
-	n *Network
-	// Exactly one of p and then is set: p is a blocking sender parked in
-	// Send (or SendParked), then the completion callback of a SendAsync.
-	p         *sim.Proc
-	then      func(committed bool)
+	n         *Network
+	then      func(committed bool) // the sender's completion callback
 	msg       Msg
 	start     sim.Time
 	state     reqState
@@ -228,12 +225,11 @@ type request struct {
 	epoch uint64
 }
 
-// deliverCont is a recycled async-completion delivery: the event that
-// hands a SendAsync outcome to its callback, pooled on the Network so a
-// continuation sender costs no closure per message. Outcome fields
-// (state, committed) are read at fire time, exactly as the closure this
-// replaces did — a withdrawal landing between resume and delivery is
-// still observed.
+// deliverCont is a recycled completion delivery: the event that hands a
+// Send outcome to its callback, pooled on the Network so a sender costs no
+// closure per message. Outcome fields (state, committed) are read at fire
+// time — a withdrawal landing between resume and delivery is still
+// observed.
 type deliverCont struct {
 	n   *Network
 	req *request
@@ -256,16 +252,9 @@ func (c *deliverCont) run() {
 	then(committed)
 }
 
-// resume returns control to the sender at the current cycle: a parked
-// blocking sender is dispatched directly (an allocation-free process
-// event), a continuation sender's completion callback is scheduled. Both
-// land at the same (time, priority, sequence) position, so the two sender
-// styles are interchangeable without affecting simulated results.
+// resume returns control to the sender at the current cycle: its
+// completion callback is scheduled as an event.
 func (r *request) resume() {
-	if r.p != nil {
-		r.p.Wake(0)
-		return
-	}
 	n := r.n
 	var c *deliverCont
 	if k := len(n.deliverFree); k > 0 {
@@ -340,10 +329,10 @@ type Network struct {
 	subs      []func(Msg, sim.Time)
 	prepare   func(Msg) bool
 	// deliverFree and commitFree recycle the per-message scheduling
-	// continuations (async completion delivery, transmission commit), and
+	// continuations (completion delivery, transmission commit), and
 	// reqFree recycles the request records themselves (epoch-validated; see
-	// request.epoch), so the steady-state Send/SendAsync message path
-	// allocates nothing.
+	// request.epoch), so the steady-state Send message path allocates
+	// nothing.
 	deliverFree []*deliverCont
 	commitFree  []*commitCont
 	reqFree     []*request
@@ -447,54 +436,16 @@ func (n *Network) MAC() MAC { return n.mac }
 // MACCounters returns the per-protocol arbitration counters.
 func (n *Network) MACCounters() MACStats { return n.mac.Counters() }
 
-// Send transmits msg, blocking p until the message commits at all receivers
-// or the transfer is withdrawn through tok (which may be nil). It reports
-// whether the message committed.
-func (n *Network) Send(p *sim.Proc, msg Msg, tok *Token) bool {
-	req := n.newRequest(msg)
-	req.p = p
-	if tok != nil {
-		tok.req = req
-		tok.epoch = req.epoch
-	}
-	n.submit(req)
-	p.Park("wireless tx")
-	if req.state == reqCanceled {
-		n.Stats.Withdrawn++
-		return false // canceled records stay with the MAC backlog; not pooled
-	}
-	committed := req.committed
-	n.freeRequest(req)
-	return committed
-}
-
-// SendAsync transmits msg without a sending process: then runs as an
-// engine event at the cycle the message commits at all receivers
-// (committed=true) or is withdrawn through tok / abandoned at grant
-// (committed=false). It is the continuation mirror of Send — then fires at
-// exactly the (time, priority, sequence) position where Send's parked
-// process would have been dispatched — for protocol models that run as
-// engine-scheduled continuation chains.
-func (n *Network) SendAsync(msg Msg, tok *Token, then func(committed bool)) {
+// Send transmits msg: then runs as an engine event at the cycle the
+// message commits at all receivers (committed=true) or is withdrawn
+// through tok, which may be nil, or abandoned at grant (committed=false).
+func (n *Network) Send(msg Msg, tok *Token, then func(committed bool)) {
 	req := n.newRequest(msg)
 	if tok != nil {
 		tok.req = req
 		tok.epoch = req.epoch
 	}
 	req.then = then
-	n.submit(req)
-}
-
-// SendParked transmits msg on behalf of p, which the caller must park in
-// the same event (before any other event can run). Continuation chains
-// that end in a transmission use it so the commit dispatches the sender
-// directly — the same allocation-free completion as a blocking Send, with
-// the submission itself deferred into the chain. The transfer cannot be
-// withdrawn (no Token), so p always resumes at the commit (or
-// grant-abandon) cycle.
-func (n *Network) SendParked(p *sim.Proc, msg Msg) {
-	req := n.newRequest(msg)
-	req.p = p
 	n.submit(req)
 }
 
@@ -519,13 +470,12 @@ func (n *Network) newRequest(msg Msg) *request {
 // freeRequest returns a finished record to the pool. Only completion paths
 // that left no aliases behind may call it: a request that ran to commit (or
 // grant-abandon) was removed from every MAC queue before transmit, so the
-// completing Send / async delivery holds the sole reference. Canceled
+// completion delivery holds the sole reference. Canceled
 // requests are NEVER freed — the MAC structures still hold them (backlog
 // entries are lazily skipped by state), and recycling would let a stale
 // queue entry transmit a different message.
 func (n *Network) freeRequest(r *request) {
 	r.epoch++
-	r.p = nil
 	r.then = nil
 	r.msg = Msg{} // drop the payload and the RMW Op closure
 	n.reqFree = append(n.reqFree, r)
@@ -543,9 +493,9 @@ func (n *Network) submit(req *request) {
 }
 
 // failSend completes req as a fault-injected delivery failure without the
-// message ever entering the MAC. The completion is delivered as an engine
-// event in the same cycle so a blocking sender has parked before it is
-// woken; the state guard lets a same-cycle withdrawal win.
+// message ever entering the MAC. The completion is delivered through an
+// engine event in the same cycle, never inline from Send; the state guard
+// lets a same-cycle withdrawal win.
 func (n *Network) failSend(req *request) {
 	n.eng.Schedule(0, func() {
 		if req.state != reqPending {
@@ -560,7 +510,7 @@ func (n *Network) failSend(req *request) {
 
 // failPending completes a queued request whose sender's transceiver has
 // fail-stopped, from MAC sweep context (an engine event; the sender is
-// already parked). The caller removes the record from its queue.
+// already suspended). The caller removes the record from its queue.
 func (n *Network) failPending(req *request) {
 	req.state = reqDone
 	req.committed = false

@@ -5,21 +5,50 @@ import (
 	"testing"
 
 	"wisync/internal/sim"
+	"wisync/internal/simtest"
 )
+
+// send is the script Op transmitting msg; ok (which may be nil) receives
+// whether it committed.
+func send(n *Network, msg Msg, tok *Token, ok func(bool)) simtest.Op {
+	return func(next func()) {
+		n.Send(msg, tok, func(committed bool) {
+			if ok != nil {
+				ok(committed)
+			}
+			next()
+		})
+	}
+}
+
+// mustCommit is an ok callback failing the test when a send fails.
+func mustCommit(t *testing.T, what string) func(bool) {
+	return func(committed bool) {
+		if !committed {
+			t.Errorf("%s failed", what)
+		}
+	}
+}
+
+// sleepRand is the Op sleeping a random 0..n-1 cycles, drawn from the
+// engine's stream when it runs.
+func sleepRand(eng *sim.Engine, n int) simtest.Op {
+	return func(next func()) { eng.SleepThen(sim.Time(eng.Rand().Intn(n)), next) }
+}
 
 func TestSingleSendTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var commits []sim.Time
 	n.Subscribe(func(m Msg, at sim.Time) { commits = append(commits, at) })
-	eng.Go("tx", func(p *sim.Proc) {
-		if !n.Send(p, Msg{Src: 0, Addr: 1, Val: 42}, nil) {
+	simtest.Seq(eng, "tx", send(n, Msg{Src: 0, Addr: 1, Val: 42}, nil, func(committed bool) {
+		if !committed {
 			t.Error("Send reported failure")
 		}
-		if p.Now() != 5 {
-			t.Errorf("sender resumed at %d, want 5", p.Now())
+		if eng.Now() != 5 {
+			t.Errorf("sender resumed at %d, want 5", eng.Now())
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +63,11 @@ func TestSingleSendTiming(t *testing.T) {
 func TestBulkTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0, Kind: KindBulk}, nil)
-		if p.Now() != 15 {
-			t.Errorf("bulk commit at %d, want 15", p.Now())
+	simtest.Seq(eng, "tx", send(n, Msg{Src: 0, Kind: KindBulk}, nil, func(bool) {
+		if eng.Now() != 15 {
+			t.Errorf("bulk commit at %d, want 15", eng.Now())
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +77,10 @@ func TestBusyChannelWaits(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var t2 sim.Time
-	eng.Go("tx1", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil)
-	})
-	eng.Go("tx2", func(p *sim.Proc) {
-		p.Sleep(2) // channel busy with tx1 until cycle 5
-		n.Send(p, Msg{Src: 1}, nil)
-		t2 = p.Now()
-	})
+	simtest.Seq(eng, "tx1", send(n, Msg{Src: 0}, nil, nil))
+	simtest.Seq(eng, "tx2",
+		simtest.Sleep(eng, 2), // channel busy with tx1 until cycle 5
+		send(n, Msg{Src: 1}, nil, func(bool) { t2 = eng.Now() }))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +99,7 @@ func TestSimultaneousSendsCollide(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	for i := 0; i < 2; i++ {
-		i := i
-		eng.Go(fmt.Sprintf("tx%d", i), func(p *sim.Proc) {
-			if !n.Send(p, Msg{Src: i}, nil) {
-				t.Errorf("tx%d failed", i)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("tx%d", i), send(n, Msg{Src: i}, nil, mustCommit(t, fmt.Sprintf("tx%d", i))))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -111,15 +130,11 @@ func TestTotalOrderAndAllDelivered(t *testing.T) {
 	})
 	const msgsPerNode = 5
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < msgsPerNode; i++ {
-				if !n.Send(p, Msg{Src: c, Val: uint64(i)}, nil) {
-					t.Errorf("node %d msg %d failed", c, i)
-				}
-				p.Sleep(sim.Time(p.Engine().Rand().Intn(30)))
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(msgsPerNode, func(i int) simtest.Op {
+			return simtest.Chain(
+				send(n, Msg{Src: c, Val: uint64(i)}, nil, mustCommit(t, fmt.Sprintf("node %d msg %d", c, i))),
+				sleepRand(eng, 30))
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -148,18 +163,13 @@ func TestPerSenderFIFO(t *testing.T) {
 			vals = append(vals, m.Val)
 		}
 	})
-	eng.Go("n0", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			n.Send(p, Msg{Src: 0, Val: uint64(i)}, nil)
-		}
-	})
+	simtest.Seq(eng, "n0", simtest.Repeat(10, func(i int) simtest.Op {
+		return send(n, Msg{Src: 0, Val: uint64(i)}, nil, nil)
+	}))
 	for c := 1; c < 8; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for i := 0; i < 5; i++ {
-				n.Send(p, Msg{Src: c}, nil)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(5, func(int) simtest.Op {
+			return send(n, Msg{Src: c}, nil, nil)
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -177,27 +187,23 @@ func TestCancelWithdrawsPending(t *testing.T) {
 	var commits int
 	n.Subscribe(func(Msg, sim.Time) { commits++ })
 	var tok Token
-	eng.Go("blocker", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil) // occupies channel 0..5
-	})
-	eng.Go("victim", func(p *sim.Proc) {
-		p.Sleep(1)
-		if n.Send(p, Msg{Src: 1}, &tok) {
+	simtest.Seq(eng, "blocker", send(n, Msg{Src: 0}, nil, nil)) // occupies channel 0..5
+	simtest.Seq(eng, "victim", simtest.Sleep(eng, 1), send(n, Msg{Src: 1}, &tok, func(committed bool) {
+		if committed {
 			t.Error("canceled Send reported commit")
 		}
-		if p.Now() != 3 {
-			t.Errorf("victim resumed at %d, want 3", p.Now())
+		if eng.Now() != 3 {
+			t.Errorf("victim resumed at %d, want 3", eng.Now())
 		}
-	})
-	eng.Go("canceler", func(p *sim.Proc) {
-		p.Sleep(3)
+	}))
+	simtest.Seq(eng, "canceler", simtest.Sleep(eng, 3), simtest.Do(func() {
 		if !tok.Cancel() {
 			t.Error("Cancel returned false for pending request")
 		}
 		if tok.Cancel() {
 			t.Error("second Cancel returned true")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,17 +219,12 @@ func TestCancelTooLateFails(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
 	var tok Token
-	eng.Go("tx", func(p *sim.Proc) {
-		if !n.Send(p, Msg{Src: 0}, &tok) {
-			t.Error("Send failed")
-		}
-	})
-	eng.Go("late", func(p *sim.Proc) {
-		p.Sleep(2) // transmission already in flight
+	simtest.Seq(eng, "tx", send(n, Msg{Src: 0}, &tok, mustCommit(t, "Send")))
+	simtest.Seq(eng, "late", simtest.Sleep(eng, 2), simtest.Do(func() { // transmission already in flight
 		if tok.Cancel() {
 			t.Error("Cancel succeeded mid-transmission")
 		}
-	})
+	}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +246,7 @@ func TestExponentialBackoffWindowGrows(t *testing.T) {
 		}
 	})
 	for c := 0; c < 32; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			n.Send(p, Msg{Src: c}, nil)
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), send(n, Msg{Src: c}, nil, nil))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -274,12 +272,9 @@ func TestBackoffExponentCapped(t *testing.T) {
 	p.MaxBackoffExp = 3
 	n := New(eng, 4, p)
 	for c := 0; c < 4; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				n.Send(pp, Msg{Src: c}, nil)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(3, func(int) simtest.Op {
+			return send(n, Msg{Src: c}, nil, nil)
+		}))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -300,10 +295,7 @@ func TestConstantBackoffAblation(t *testing.T) {
 	p.ConstantBackoffWindow = 4
 	n := New(eng, 16, p)
 	for c := 0; c < 16; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(pp *sim.Proc) {
-			n.Send(pp, Msg{Src: c}, nil)
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c), send(n, Msg{Src: c}, nil, nil))
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -316,10 +308,7 @@ func TestConstantBackoffAblation(t *testing.T) {
 func TestUtilizationAndLatencyStats(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
-	eng.Go("tx", func(p *sim.Proc) {
-		n.Send(p, Msg{Src: 0}, nil)
-		p.Sleep(15) // idle 5..20
-	})
+	simtest.Seq(eng, "tx", send(n, Msg{Src: 0}, nil, nil), simtest.Sleep(eng, 15)) // idle 5..20
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +328,10 @@ func TestSaturatedThroughputBound(t *testing.T) {
 	n := New(eng, 64, DefaultParams())
 	stop := sim.Time(20000)
 	for c := 0; c < 64; c++ {
-		c := c
-		eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-			for p.Now() < stop {
-				n.Send(p, Msg{Src: c}, nil)
-			}
-		})
+		simtest.Seq(eng, fmt.Sprintf("n%d", c),
+			simtest.While(func() bool { return eng.Now() < stop }, send(n, Msg{Src: c}, nil, nil)))
 	}
-	if err := eng.RunUntil(stop); err != nil {
-		t.Fatal(err)
-	}
+	eng.RunUntil(stop)
 	eng.Shutdown()
 	maxMsgs := uint64(stop / 5)
 	if n.Stats.Messages > maxMsgs {
@@ -366,13 +349,9 @@ func TestDeterministicReplay(t *testing.T) {
 		var order []int
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
-			c := c
-			eng.Go(fmt.Sprintf("n%d", c), func(p *sim.Proc) {
-				for i := 0; i < 4; i++ {
-					n.Send(p, Msg{Src: c}, nil)
-					p.Sleep(sim.Time(p.Engine().Rand().Intn(7)))
-				}
-			})
+			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(4, func(int) simtest.Op {
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+			}))
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
