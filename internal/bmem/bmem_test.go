@@ -265,9 +265,7 @@ func TestConcurrentFetchAddNoLostUpdates(t *testing.T) {
 	const perNode = 10
 	for n := 0; n < 64; n++ {
 		simtest.Seq(eng, fmt.Sprintf("n%d", n), simtest.Repeat(perNode, func(int) simtest.Op {
-			return simtest.Chain(o.rmwRetry(n, 1, &addr, incr), func(next func()) {
-				eng.SleepThen(sim.Time(eng.Rand().Intn(50)), next)
-			})
+			return simtest.Chain(o.rmwRetry(n, 1, &addr, incr), simtest.SleepRand(eng, 50))
 		}))
 	}
 	if err := eng.Run(); err != nil {

@@ -221,8 +221,8 @@ type System struct {
 	mc    [4]sim.Resource
 	// txnFree recycles transaction state machines; the engine is single-
 	// threaded, so a plain freelist suffices and steady-state transactions
-	// allocate nothing. hitFree and spinFree do the same for the async
-	// face's L1-hit delivery and spin-loop continuations (async.go).
+	// allocate nothing. hitFree and spinFree do the same for the L1-hit
+	// delivery and spin-loop continuations (ops.go).
 	txnFree  []*txn
 	hitFree  []*hitCont
 	spinFree []*memSpin

@@ -71,6 +71,12 @@ func Sleep(eng *sim.Engine, d sim.Time) Op {
 	return func(next func()) { eng.SleepThen(d, next) }
 }
 
+// SleepRand is the Op waiting a random 0..n-1 cycles, drawn from the
+// engine's random stream when the Op runs.
+func SleepRand(eng *sim.Engine, n int) Op {
+	return func(next func()) { eng.SleepThen(sim.Time(eng.Rand().Intn(n)), next) }
+}
+
 // SleepUntil is the Op waiting until cycle t. If t is not in the future it
 // continues at once, without scheduling an event.
 func SleepUntil(eng *sim.Engine, t sim.Time) Op {

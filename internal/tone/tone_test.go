@@ -38,12 +38,6 @@ func toneBarrierWait(c *Controller, node int, addr uint32, sense uint64) simtest
 	return barrierWait(c, node, 1, addr, sense)
 }
 
-// sleepRand is the Op sleeping a random 0..n-1 cycles, drawn from the
-// engine's stream when it runs.
-func sleepRand(eng *sim.Engine, n int) simtest.Op {
-	return func(next func()) { eng.SleepThen(sim.Time(eng.Rand().Intn(n)), next) }
-}
-
 func TestSingleBarrierAllArrive(t *testing.T) {
 	const n = 8
 	eng, _, c := newCtl(t, n)
@@ -123,7 +117,7 @@ func TestSenseReversingReuse(t *testing.T) {
 		simtest.Seq(eng, fmt.Sprintf("t%d", i),
 			simtest.Repeat(episodes, func(e int) simtest.Op {
 				sense := uint64(1 - e%2)
-				return simtest.Chain(sleepRand(eng, 40), toneBarrierWait(c, i, addr, sense))
+				return simtest.Chain(simtest.SleepRand(eng, 40), toneBarrierWait(c, i, addr, sense))
 			}),
 			simtest.Do(func() { finished++ }))
 	}
@@ -149,7 +143,7 @@ func TestBarrierSynchrony(t *testing.T) {
 	for i := 0; i < n; i++ {
 		simtest.Seq(eng, fmt.Sprintf("t%d", i), simtest.Repeat(episodes, func(e int) simtest.Op {
 			return simtest.Chain(
-				sleepRand(eng, 60),
+				simtest.SleepRand(eng, 60),
 				simtest.Do(func() { phase[i] = e }),
 				toneBarrierWait(c, i, addr, uint64(1-e%2)),
 				// At release, every thread must have reached e.

@@ -189,7 +189,7 @@ func TestAdaptiveMACDeterministicReplay(t *testing.T) {
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
 			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(8, func(int) simtest.Op {
-				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), simtest.SleepRand(eng, 7))
 			}))
 		}
 		if err := eng.Run(); err != nil {

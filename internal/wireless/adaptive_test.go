@@ -19,7 +19,7 @@ func TestAdaptiveBackoffSharedEstimate(t *testing.T) {
 	n := New(eng, 32, p)
 	for c := 0; c < 32; c++ {
 		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(3, func(int) simtest.Op {
-			return simtest.Chain(send(n, Msg{Src: c}, nil, mustCommit(t, fmt.Sprintf("node %d send", c))), sleepRand(eng, 20))
+			return simtest.Chain(send(n, Msg{Src: c}, nil, mustCommit(t, fmt.Sprintf("node %d send", c))), simtest.SleepRand(eng, 20))
 		}))
 	}
 	if err := eng.Run(); err != nil {

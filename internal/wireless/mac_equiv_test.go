@@ -27,7 +27,7 @@ func commitTrace(p Params, seed uint64) []string {
 			if c == 3 && i == 2 {
 				t = &tok
 			}
-			return simtest.Chain(send(n, Msg{Src: c, Val: uint64(i)}, t, nil), sleepRand(eng, 9))
+			return simtest.Chain(send(n, Msg{Src: c, Val: uint64(i)}, t, nil), simtest.SleepRand(eng, 9))
 		}))
 	}
 	simtest.Seq(eng, "canceler", simtest.Sleep(eng, 7), simtest.Do(func() { tok.Cancel() }))

@@ -35,7 +35,7 @@ func TestTokenNeverCollides(t *testing.T) {
 		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(msgsPerNode, func(i int) simtest.Op {
 			return simtest.Chain(
 				send(n, Msg{Src: c, Val: uint64(i)}, nil, mustCommit(t, fmt.Sprintf("node %d msg %d", c, i))),
-				sleepRand(eng, 30))
+				simtest.SleepRand(eng, 30))
 		}))
 	}
 	if err := eng.Run(); err != nil {
@@ -174,7 +174,7 @@ func TestTokenDeterministicReplay(t *testing.T) {
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
 			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(4, func(int) simtest.Op {
-				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), simtest.SleepRand(eng, 7))
 			}))
 		}
 		if err := eng.Run(); err != nil {

@@ -30,12 +30,6 @@ func mustCommit(t *testing.T, what string) func(bool) {
 	}
 }
 
-// sleepRand is the Op sleeping a random 0..n-1 cycles, drawn from the
-// engine's stream when it runs.
-func sleepRand(eng *sim.Engine, n int) simtest.Op {
-	return func(next func()) { eng.SleepThen(sim.Time(eng.Rand().Intn(n)), next) }
-}
-
 func TestSingleSendTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := New(eng, 4, DefaultParams())
@@ -133,7 +127,7 @@ func TestTotalOrderAndAllDelivered(t *testing.T) {
 		simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(msgsPerNode, func(i int) simtest.Op {
 			return simtest.Chain(
 				send(n, Msg{Src: c, Val: uint64(i)}, nil, mustCommit(t, fmt.Sprintf("node %d msg %d", c, i))),
-				sleepRand(eng, 30))
+				simtest.SleepRand(eng, 30))
 		}))
 	}
 	if err := eng.Run(); err != nil {
@@ -350,7 +344,7 @@ func TestDeterministicReplay(t *testing.T) {
 		n.Subscribe(func(m Msg, _ sim.Time) { order = append(order, m.Src) })
 		for c := 0; c < 16; c++ {
 			simtest.Seq(eng, fmt.Sprintf("n%d", c), simtest.Repeat(4, func(int) simtest.Op {
-				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), sleepRand(eng, 7))
+				return simtest.Chain(send(n, Msg{Src: c}, nil, nil), simtest.SleepRand(eng, 7))
 			}))
 		}
 		if err := eng.Run(); err != nil {
