@@ -242,34 +242,36 @@ func TestServerJournalRecovery(t *testing.T) {
 }
 
 // TestServerReplayAcceptsExecField pins journal compatibility across the
-// removal of the job's "exec" field: an entry journaled by an earlier
-// build that still carries "exec":"thread" replays to golden rows, and the
-// replayed points land under the same cache keys a fresh job uses.
+// removal of the job's "exec" and "shards" fields: an entry journaled by an
+// earlier build that still carries either field replays to golden rows, and
+// the replayed points land under the same cache keys a fresh job uses.
 func TestServerReplayAcceptsExecField(t *testing.T) {
 	golden := loadGolden(t)
-	walPath := filepath.Join(t.TempDir(), "jobs.wal")
-	j, _, err := journal.Open(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16],"seeds":[1],"exec":"thread"}`
-	if _, err := j.Append(json.RawMessage(old)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	for _, field := range []string{`"exec":"thread"`, `"shards":2`} {
+		walPath := filepath.Join(t.TempDir(), "jobs.wal")
+		j, _, err := journal.Open(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16],"seeds":[1],` + field + `}`
+		if _, err := j.Append(json.RawMessage(old)); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
 
-	_, ts := newTestServer(t, serverOptions{Workers: 1, WALPath: walPath})
-	waitReady(t, ts.URL)
-	if st := getStats(t, ts.URL); st.ReplayedJobs != 1 || st.ReplayedPoints != 2 || st.ReplayErrors != 0 {
-		t.Fatalf("replay of an exec-carrying entry: %+v", st)
-	}
-	rows, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16],"seeds":[1]}`)
-	if status != http.StatusOK || done.Errors != 0 || done.Hits != 2 {
-		t.Fatalf("resubmit after replay: status=%d done=%+v", status, done)
-	}
-	for _, m := range rows {
-		if m.Row != golden[m.ID] {
-			t.Fatalf("replayed row drifted:\ngot:  %s\nwant: %s", m.Row, golden[m.ID])
+		_, ts := newTestServer(t, serverOptions{Workers: 1, WALPath: walPath})
+		waitReady(t, ts.URL)
+		if st := getStats(t, ts.URL); st.ReplayedJobs != 1 || st.ReplayedPoints != 2 || st.ReplayErrors != 0 {
+			t.Fatalf("replay of an entry carrying %s: %+v", field, st)
+		}
+		rows, done, status := postJob(t, ts.URL, `{"workload":"tightloop","kinds":["Baseline","WiSync"],"cores":[16],"seeds":[1]}`)
+		if status != http.StatusOK || done.Errors != 0 || done.Hits != 2 {
+			t.Fatalf("%s: resubmit after replay: status=%d done=%+v", field, status, done)
+		}
+		for _, m := range rows {
+			if m.Row != golden[m.ID] {
+				t.Fatalf("%s: replayed row drifted:\ngot:  %s\nwant: %s", field, m.Row, golden[m.ID])
+			}
 		}
 	}
 }

@@ -32,7 +32,6 @@ type job struct {
 	Seeds    []uint64         `json:"seeds,omitempty"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	Shards   int              `json:"shards,omitempty"`
 	Iters    int              `json:"iters,omitempty"`
 	N        int              `json:"n,omitempty"`
 	Passes   int              `json:"passes,omitempty"`
@@ -64,8 +63,11 @@ type job struct {
 // expand crosses the job's lists into normalized, validated point specs
 // with their cache keys, in kinds x cores x seeds order (the golden
 // matrix's row order). Any invalid point fails the whole job: a client
-// should learn about a typo before any simulation runs.
-func (j job) expand() ([]harness.PointSpec, []sweepcache.Key, error) {
+// should learn about a typo before any simulation runs. A job that would
+// expand past maxPoints fails before anything is allocated, so a
+// megabyte of list entries cannot ask for a cross product the size of
+// memory.
+func (j job) expand(maxPoints int) ([]harness.PointSpec, []sweepcache.Key, error) {
 	if len(j.Kinds) == 0 {
 		j.Kinds = []config.Kind{config.WiSync}
 	}
@@ -75,14 +77,21 @@ func (j job) expand() ([]harness.PointSpec, []sweepcache.Key, error) {
 	if len(j.Seeds) == 0 {
 		j.Seeds = []uint64{1}
 	}
-	specs := make([]harness.PointSpec, 0, len(j.Kinds)*len(j.Cores)*len(j.Seeds))
+	points := 1
+	for _, n := range []int{len(j.Kinds), len(j.Cores), len(j.Seeds)} {
+		if points > maxPoints/n {
+			return nil, nil, fmt.Errorf("job expands to more than %d points", maxPoints)
+		}
+		points *= n
+	}
+	specs := make([]harness.PointSpec, 0, points)
 	keys := make([]sweepcache.Key, 0, cap(specs))
 	for _, k := range j.Kinds {
 		for _, cores := range j.Cores {
 			for _, seed := range j.Seeds {
 				spec := harness.PointSpec{
 					Workload: j.Workload, Kind: k, Cores: cores, Seed: seed,
-					Variant: j.Variant, MAC: j.MAC, Shards: j.Shards,
+					Variant: j.Variant, MAC: j.MAC,
 					Iters: j.Iters, N: j.N, Passes: j.Passes, CS: j.CS, Duration: j.Duration,
 					Channel: j.Channel, BER: j.BER, Retries: j.Retries,
 					BERGood: j.BERGood, PGB: j.PGB, PBG: j.PBG,
@@ -357,7 +366,7 @@ func (s *server) replay(entries []journal.Entry) {
 			_ = s.wal.Complete(e.ID)
 			continue
 		}
-		specs, keys, err := j.expand()
+		specs, keys, err := j.expand(s.opts.MaxJobPoints)
 		if err != nil {
 			s.replayErrors.Add(1)
 			_ = s.wal.Complete(e.ID)
@@ -479,14 +488,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job: deadline_ms must be >= 0")
 		return
 	}
-	specs, keys, err := j.expand()
+	specs, keys, err := j.expand(s.opts.MaxJobPoints)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad job: %v", err)
-		return
-	}
-	if len(specs) > s.opts.MaxJobPoints {
-		httpError(w, http.StatusBadRequest, "job expands to %d points, cap is %d",
-			len(specs), s.opts.MaxJobPoints)
 		return
 	}
 	if !s.reserve(len(specs)) {

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wisync/internal/config"
 )
 
 // goldenJobs covers every row of internal/harness/testdata/golden.tsv: the
@@ -145,8 +147,6 @@ func TestServerGoldenSweep(t *testing.T) {
 	}
 }
 
-// TestServerRejectsMalformed pins satellite #1: every malformed-job class
-// is a 400 with a JSON error body — never a panic, never a worker crash.
 // TestServerRejectsExecField pins that a live job naming the removed
 // execution-mode field is rejected as an unknown field, whatever its value;
 // only journal replay tolerates it (TestServerReplayAcceptsExecField).
@@ -171,6 +171,19 @@ func TestServerRejectsExecField(t *testing.T) {
 	}
 }
 
+// TestExpandCapsBeforeAllocating pins that job expansion checks the point
+// cap before it allocates: 2^20 entries in each list would otherwise ask
+// for a slice of 2^60 points.
+func TestExpandCapsBeforeAllocating(t *testing.T) {
+	const n = 1 << 20
+	j := job{Workload: "tightloop", Kinds: make([]config.Kind, n), Cores: make([]int, n), Seeds: make([]uint64, n)}
+	if _, _, err := j.expand(4096); err == nil || !strings.Contains(err.Error(), "more than 4096 points") {
+		t.Fatalf("expand of a 2^60-point job: err = %v", err)
+	}
+}
+
+// TestServerRejectsMalformed pins that every malformed-job class is a 400
+// with a JSON error body — never a panic, never a worker crash.
 func TestServerRejectsMalformed(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{Workers: 1, MaxJobPoints: 8})
 	cases := map[string]string{
@@ -184,7 +197,7 @@ func TestServerRejectsMalformed(t *testing.T) {
 		"unknown variant":  `{"workload":"tightloop","variant":"Turbo"}`,
 		"zero cores":       `{"workload":"tightloop","cores":[0]}`,
 		"too many cores":   `{"workload":"tightloop","cores":[500]}`,
-		"bad shards":       `{"workload":"tightloop","shards":65}`,
+		"retired shards":   `{"workload":"tightloop","shards":2}`,
 		"iters beyond cap": `{"workload":"tightloop","iters":100001}`,
 		"job too large":    `{"workload":"tightloop","seeds":[1,2,3,4,5,6,7,8,9]}`,
 		"empty body":       ``,
@@ -347,21 +360,10 @@ func TestServerChannelJobs(t *testing.T) {
 	if strings.Contains(row, "retx=0\t") || strings.Contains(row, "energy=0pJ") {
 		t.Fatalf("lossy row reports no corruption at BER 1e-5: %s", row)
 	}
-	// The repeat is a cache hit, and the sharded form shares the same
-	// content address — sharding stays digest-excluded for lossy points
-	// because corruption draws are shard-invariant (pinned end-to-end by
-	// TestLossyPointDeterministic in internal/harness).
+	// The repeat is a cache hit with the same row.
 	rows4, done4, _ := postJob(t, ts.URL, lossy)
 	if done4.Hits != 1 || rows4[0].Row != row {
 		t.Fatalf("lossy repeat: done=%+v row=%s", done4, rows4[0].Row)
-	}
-	sharded := `{"workload":"tightloop","kinds":["WiSyncNoT"],"cores":[64],"seeds":[3],"channel":"uniform","ber":1e-5,"retries":20,"shards":2}`
-	rows5, done5, _ := postJob(t, ts.URL, sharded)
-	if done5.Errors != 0 || done5.Hits != 1 {
-		t.Fatalf("sharded lossy job did not share the cache entry: done=%+v", done5)
-	}
-	if rows5[0].Row != row {
-		t.Fatalf("lossy row diverged at 2 shards:\ngot:  %s\nwant: %s", rows5[0].Row, row)
 	}
 
 	// Unknown profile names are a 400 like every other enum.

@@ -76,7 +76,6 @@ func main() {
 	variant := flag.String("variant", "Default", "Table 6 variant")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent sweep points for a -cores list (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "engine shards per point (0 = unsharded); results are identical at any value")
 	macName := flag.String("mac", "backoff", "wireless MAC protocol: "+macNames())
 	chName := flag.String("channel", "ideal", "wireless channel-error profile: "+channelNames())
 	ber := flag.Float64("ber", 0, "raw bit-error rate of the worst link for lossy -channel profiles (0 = profile default)")
@@ -134,31 +133,30 @@ func main() {
 		fatalf("unknown workload %q", *workload)
 	}
 	// Validate every sweep point's machine configuration up front through
-	// the single authority (config.Config.Validate): a bad core count or
-	// shard count is a usage error here, never a panic inside a worker.
-	for _, c := range coreList {
-		cfg := config.New(kind, c).WithVariant(v).WithSeed(*seed).WithMAC(mac).
-			WithShards(*shards).WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
-		if err := cfg.Validate(); err != nil {
+	// the single authority (config.Config.Validate): a bad core count is a
+	// usage error here, never a panic inside a worker.
+	cfgs := make([]config.Config, len(coreList))
+	for i, c := range coreList {
+		cfgs[i] = config.New(kind, c).WithVariant(v).WithSeed(*seed).WithMAC(mac).
+			WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
+		if err := cfgs[i].Validate(); err != nil {
 			fatalf("%v", err)
 		}
 	}
 
 	// Self-describing output: echo the effective configuration first.
-	fmt.Printf("# wisync-sim config=%v cores=%s variant=%v seed=%d workers=%d shards=%d mac=%v channel=%v ber=%g retries=%d faults=%q point-budget=%d workload=%s\n",
-		kind, *cores, v, *seed, *workers, *shards, mac, chProfile, *ber, *retries, *faultsFlag, *pointBudget, *workload)
+	fmt.Printf("# wisync-sim config=%v cores=%s variant=%v seed=%d workers=%d mac=%v channel=%v ber=%g retries=%d faults=%q point-budget=%d workload=%s\n",
+		kind, *cores, v, *seed, *workers, mac, chProfile, *ber, *retries, *faultsFlag, *pointBudget, *workload)
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	// Each sweep point renders into its own buffer; buffers are printed in
 	// list order so the output does not depend on the worker count.
-	outputs := make([]strings.Builder, len(coreList))
+	outputs := make([]strings.Builder, len(cfgs))
 	var pointFailed atomic.Bool
-	harness.ForEach(*workers, len(coreList), func(i int) {
-		cfg := config.New(kind, coreList[i]).WithVariant(v).WithSeed(*seed).WithMAC(mac).
-			WithShards(*shards).WithChannel(chParams).WithFaults(plan).WithBudget(sim.Time(*pointBudget))
-		if !runOne(&outputs[i], cfg, *workload, appProfile, *n, *iters, *cs, *duration) {
+	harness.ForEach(*workers, len(cfgs), func(i int) {
+		if !runOne(&outputs[i], cfgs[i], *workload, appProfile, *n, *iters, *cs, *duration) {
 			pointFailed.Store(true)
 		}
 	})

@@ -52,7 +52,7 @@ func (b *BM) Load(node int, pid uint16, addr uint32, then func(uint64)) error {
 		return err
 	}
 	b.Stats.Loads++
-	b.eng.LocalSleepThen(node, b.p.RT, b.newLoadCont(addr, then).fn)
+	b.eng.SleepThen(b.p.RT, b.newLoadCont(addr, then).fn)
 	return nil
 }
 
@@ -111,7 +111,7 @@ func (b *BM) BulkLoad(node int, pid uint16, addr uint32, then func([4]uint64)) e
 		}
 	}
 	b.Stats.Loads += 4
-	b.eng.LocalSleepThen(node, b.p.RT+3, func() {
+	b.eng.SleepThen(b.p.RT+3, func() {
 		var out [4]uint64
 		for i := uint32(0); i < 4; i++ {
 			out[i] = b.entries[addr+i].val
@@ -163,7 +163,7 @@ func (b *BM) RMW(node int, pid uint16, addr uint32, f func(uint64) (uint64, bool
 	*pr = pendingRMW{active: true, addr: addr}
 
 	// Local read: the atomicity window opens here.
-	b.eng.LocalSleepThen(node, b.p.RT, func() {
+	b.eng.SleepThen(b.p.RT, func() {
 		old := b.entries[addr].val
 		if pr.aborted {
 			// A conflicting commit landed during the local read.
@@ -267,7 +267,7 @@ func (b *BM) rmwAtGrant(node int, pid uint16, addr uint32, f func(uint64) (uint6
 	c.msg.Src, c.msg.Addr, c.msg.Kind, c.msg.PID = node, addr, wireless.KindRMW, pid
 	// The instruction still reads the local BM into the pipeline (RT),
 	// then contends for the channel.
-	b.eng.LocalSleepThen(node, b.p.RT, c.submitFn)
+	b.eng.SleepThen(b.p.RT, c.submitFn)
 	return nil
 }
 

@@ -28,8 +28,8 @@
 // construction time (only when the profile is non-ideal, so the ideal
 // channel consumes no entropy and perturbs nothing), and are made in
 // commit-event order — which the engine keeps identical across host
-// worker counts and shard counts — so a corruption schedule is a pure
-// function of (seed, config).
+// worker counts — so a corruption schedule is a pure function of
+// (seed, config).
 package channel
 
 import (
@@ -312,10 +312,10 @@ func (m *matrix) Corrupts(rng *sim.Rand, src, bits int) bool {
 // gilbertElliott is the Burst profile: one medium-wide two-state Markov
 // chain stepped once per transmission. The state evolves in the
 // Network's commit-event order — the same order every other channel draw
-// uses — so the burst schedule is deterministic across worker and shard
-// counts. Every Corrupts call makes exactly two draws (transition, then
-// outcome) regardless of state, so the rng stream consumed is a pure
-// function of the transmission count.
+// uses — so the burst schedule is deterministic across worker counts.
+// Every Corrupts call makes exactly two draws (transition, then outcome)
+// regardless of state, so the rng stream consumed is a pure function of
+// the transmission count.
 type gilbertElliott struct {
 	nodes, retries    int
 	berGood, berBad   float64

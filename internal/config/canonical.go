@@ -8,14 +8,19 @@
 // naturally and unknown names fail at decode time, not inside a worker),
 // and Digest condenses the result-relevant fields to a hex SHA-256.
 //
-// Seed and Shards are deliberately excluded from the digest: Seed is the
-// other half of the cache key (the service keys entries by
-// (digest, seed)), and Shards only partitions the engine's event storage —
-// sharded runs are bit-identical at every count, pinned by
-// TestGoldenShardInvariance.
+// Seed is deliberately excluded from the digest: it is the other half of
+// the cache key (the service keys entries by (digest, seed)).
+//
+// The digest still hashes a retired field. Config once carried an engine
+// shard count, serialized as "Shards":0 right after "Seed" and always
+// zeroed for the digest. Digest splices those bytes back in (retiredShards)
+// so every content address computed before the field was removed — cached
+// rows on disk, journaled jobs, the pinned literals in
+// TestPointDigestPinned — stays valid.
 package config
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -106,18 +111,27 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(c)
 }
 
+// zeroSeed and retiredShards are the digest's splice point: the zeroed
+// seed field, and the retired shard-count field that used to follow it.
+var (
+	zeroSeed      = []byte(`"Seed":0,`)
+	retiredShards = []byte(`"Seed":0,"Shards":0,`)
+)
+
 // Digest returns the content address of the configuration as a hex
-// SHA-256 over its canonical JSON with Seed and Shards zeroed (see the
-// file comment for why those two fields are excluded). Configurations
+// SHA-256 over its canonical JSON with Seed zeroed and the retired
+// "Shards":0 spliced in after it (see the file comment). Configurations
 // that simulate identically share a digest; flipping any result-relevant
 // field changes it (pinned by TestDigestFieldFlips).
 func (c Config) Digest() (string, error) {
 	c.Seed = 0
-	c.Shards = 0
 	b, err := c.CanonicalJSON()
 	if err != nil {
 		return "", err
 	}
+	// Seed follows only Kind (a name) and Cores (a number), so its first
+	// match is the top-level field.
+	b = bytes.Replace(b, zeroSeed, retiredShards, 1)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }

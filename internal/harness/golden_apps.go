@@ -52,24 +52,12 @@ func AppGoldenPoints() []AppGoldenPoint {
 
 // AppGoldenRun executes one point and renders its metrics line.
 func AppGoldenRun(pt AppGoldenPoint) string {
-	return appGoldenRunCfg(pt, config.New(pt.Kind, 64).WithSeed(pt.Seed))
-}
-
-// AppGoldenRunShards executes one point on an engine partitioned into the
-// given shard count; every line must render byte-identical to the
-// unsharded golden file at any count.
-func AppGoldenRunShards(pt AppGoldenPoint, shards int) string {
-	cfg := config.New(pt.Kind, 64).WithSeed(pt.Seed).WithShards(shards)
-	return appGoldenRunCfg(pt, cfg)
-}
-
-func appGoldenRunCfg(pt AppGoldenPoint, cfg config.Config) string {
 	p, ok := apps.ByName(pt.App)
 	if !ok {
 		panic("harness: unknown golden app " + pt.App)
 	}
 	p.Iterations = pt.Iters
-	r := apps.Run(cfg, p)
+	r := apps.Run(config.New(pt.Kind, 64).WithSeed(pt.Seed), p)
 	return pt.ID() + "\t" + strings.Join([]string{
 		fmt.Sprintf("cycles=%d", r.Cycles),
 		fmt.Sprintf("datautil=%s", gf(r.DataUtilPct)),

@@ -44,7 +44,7 @@ func TestGoldenAppsConformance(t *testing.T) {
 	}
 
 	want := loadGoldenApps(t)
-	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"), "default")
+	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if len(want) != len(AppGoldenPoints()) {
 		t.Errorf("apps golden file has %d points, matrix has %d (regenerate with -update-golden)",
 			len(want), len(AppGoldenPoints()))

@@ -53,9 +53,8 @@ func loadGolden(t *testing.T) map[string]string {
 }
 
 // compareToGolden asserts each produced line is byte-identical to the
-// committed one. mode labels the engine setup (default or sharded) in
-// failure messages.
-func compareToGolden(t *testing.T, want map[string]string, lines []string, mode string) {
+// committed one.
+func compareToGolden(t *testing.T, want map[string]string, lines []string) {
 	t.Helper()
 	for _, line := range lines {
 		id, _, _ := strings.Cut(line, "\t")
@@ -65,7 +64,7 @@ func compareToGolden(t *testing.T, want map[string]string, lines []string, mode 
 			continue
 		}
 		if line != wantLine {
-			t.Errorf("%s: %s execution diverged from golden\n got: %s\nwant: %s", id, mode, line, wantLine)
+			t.Errorf("%s: diverged from golden\n got: %s\nwant: %s", id, line, wantLine)
 		}
 	}
 }
@@ -93,7 +92,7 @@ func TestGoldenConformance(t *testing.T) {
 	}
 
 	want := loadGolden(t)
-	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"), "default")
+	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if !testing.Short() && len(want) != len(GoldenPoints()) {
 		t.Errorf("golden file has %d points, matrix has %d (regenerate with -update-golden)",
 			len(want), len(GoldenPoints()))

@@ -42,10 +42,6 @@ type PointSpec struct {
 	Seed     uint64           `json:"seed"`
 	Variant  config.Variant   `json:"variant,omitempty"`
 	MAC      wireless.MACKind `json:"mac,omitempty"`
-	// Shards changes only simulator wall-clock behavior, never results
-	// (pinned by the shard-invariance suites), so it is excluded from
-	// Digest.
-	Shards int `json:"shards,omitempty"`
 
 	// Channel selects the channel-error profile (default ideal: the
 	// paper's error-free medium, under which rows match the golden
@@ -226,7 +222,7 @@ func (s PointSpec) Validate() error {
 // Config builds the point's machine configuration.
 func (s PointSpec) Config() config.Config {
 	return config.New(s.Kind, s.Cores).WithVariant(s.Variant).WithSeed(s.Seed).
-		WithMAC(s.MAC).WithShards(s.Shards).
+		WithMAC(s.MAC).
 		WithChannel(channel.Params{
 			Profile: s.Channel, BER: s.BER, MaxRetries: s.Retries,
 			BERGood: s.BERGood, PGB: s.PGB, PBG: s.PBG,
@@ -243,10 +239,9 @@ func (s PointSpec) ID() string {
 // Digest returns the content address of the point: a hex SHA-256 over the
 // normalized workload parameters and the machine configuration's digest.
 // The seed is excluded — the memoization cache keys entries by
-// (Digest, Seed) — and so is Shards, which is bit-identical by
-// construction. A spec decoded from JSON that still carries an "exec"
-// field from an earlier build ignores it, so such specs digest as they
-// always did. Two specs share a digest exactly when they run the same
+// (Digest, Seed). A spec decoded from JSON that still carries an "exec" or
+// "shards" field from an earlier build ignores it, so such specs digest as
+// they always did. Two specs share a digest exactly when they run the same
 // simulation.
 func (s PointSpec) Digest() (string, error) {
 	n, err := s.Normalize()

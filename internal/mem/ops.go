@@ -52,7 +52,7 @@ func (s *System) Read(core int, addr uint64, then func(uint64)) {
 	line := Line(addr)
 	if s.lookup(core, line) != nil {
 		s.Stats.L1Hits++
-		s.eng.LocalSleepThen(core, s.p.L1RT, s.newHitCont(addr, 0, false, then).fn)
+		s.eng.SleepThen(s.p.L1RT, s.newHitCont(addr, 0, false, then).fn)
 		return
 	}
 	s.Stats.L1Misses++
@@ -89,7 +89,7 @@ func (s *System) RMW(core int, addr uint64, f func(uint64) (uint64, bool), then 
 		if nv, do := f(old); do {
 			le.words[wordIdx(addr)] = nv
 		}
-		s.eng.LocalSleepThen(core, s.p.L1RT, s.newHitCont(addr, old, true, then).fn)
+		s.eng.SleepThen(s.p.L1RT, s.newHitCont(addr, old, true, then).fn)
 		return
 	}
 	s.Stats.L1Misses++

@@ -19,7 +19,7 @@ func (c *Controller) ToneStore(node int, pid uint16, addr uint32, then func()) e
 	if b := c.findActive(addr); b != nil {
 		// Tone being issued locally: stop it (arrive).
 		c.arrive(b, node)
-		c.eng.LocalSleepThen(node, 1, then)
+		c.eng.SleepThen(1, then)
 		return nil
 	}
 	// Not active: this node is (or ties for) the first arriver. Send the
