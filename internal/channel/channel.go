@@ -135,7 +135,9 @@ type Params struct {
 	// Profile selects the per-link BER structure (default Ideal).
 	Profile Profile
 	// BER is the raw bit-error rate of the worst link: every link under
-	// Uniform, the corner-to-corner link under Distance. Ignored by Ideal.
+	// Uniform, the corner-to-corner link under Distance, the bad state
+	// under Burst. Zero means DefaultBER for non-ideal profiles; ignored by
+	// Ideal.
 	BER float64
 	// MaxRetries bounds how many times one transmission is resubmitted
 	// after corrupted deliveries before the send completes as a delivery
@@ -158,8 +160,41 @@ const (
 	DefaultPBG = 0.05
 )
 
+// DefaultBER is the worst-link raw bit-error rate a zero Params.BER
+// resolves to for non-ideal profiles.
+const DefaultBER = 1e-4
+
 // DefaultParams returns the ideal channel.
 func DefaultParams() Params { return Params{Profile: Ideal} }
+
+// Normalize returns the canonical form of p: zero BER, MaxRetries, PGB and
+// PBG take their profile defaults (DefaultBER, DefaultMaxRetries,
+// DefaultPGB, DefaultPBG), and knobs the profile does not read are zeroed,
+// so two parameter sets that model the same medium compare — and digest —
+// equal. It is the one place channel defaults are decided.
+func (p Params) Normalize() Params {
+	if p.Profile == Ideal {
+		return Params{}
+	}
+	if p.BER == 0 {
+		p.BER = DefaultBER
+	}
+	if p.MaxRetries == 0 {
+		p.MaxRetries = DefaultMaxRetries
+	}
+	if p.Profile != Burst {
+		// Only the burst profile reads the Gilbert–Elliott knobs.
+		p.BERGood, p.PGB, p.PBG = 0, 0, 0
+		return p
+	}
+	if p.PGB == 0 {
+		p.PGB = DefaultPGB
+	}
+	if p.PBG == 0 {
+		p.PBG = DefaultPBG
+	}
+	return p
+}
 
 // Validate reports parameter errors.
 func (p Params) Validate() error {
@@ -201,8 +236,10 @@ type Model interface {
 	MaxRetries() int
 }
 
-// New builds the model selected by p for a chip with the given node count.
+// New builds the model selected by the normalized form of p for a chip
+// with the given node count.
 func New(nodes int, p Params) (Model, error) {
+	p = p.Normalize()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -212,24 +249,14 @@ func New(nodes int, p Params) (Model, error) {
 	if p.Profile == Ideal {
 		return ideal{}, nil
 	}
-	retries := p.MaxRetries
-	if retries == 0 {
-		retries = DefaultMaxRetries
-	}
 	if p.Profile == Burst {
-		g := &gilbertElliott{nodes: nodes, retries: retries,
+		g := &gilbertElliott{nodes: nodes, retries: p.MaxRetries,
 			berGood: p.BERGood, berBad: p.BER, pGB: p.PGB, pBG: p.PBG}
-		if g.pGB == 0 {
-			g.pGB = DefaultPGB
-		}
-		if g.pBG == 0 {
-			g.pBG = DefaultPBG
-		}
 		g.survGood = survival(g.berGood, nodes)
 		g.survBad = survival(g.berBad, nodes)
 		return g, nil
 	}
-	m := &matrix{profile: p.Profile, nodes: nodes, retries: retries}
+	m := &matrix{profile: p.Profile, nodes: nodes, retries: p.MaxRetries}
 	m.build(p.BER)
 	return m, nil
 }

@@ -189,8 +189,10 @@ func (c Config) WithMAC(k wireless.MACKind) Config {
 
 // WithChannel returns the configuration with a different channel-error
 // model under the Data channel (the paper's ideal channel is the default).
+// The parameters are normalized, so zero BER and retry values take the
+// profile defaults and equal media digest identically.
 func (c Config) WithChannel(p channel.Params) Config {
-	c.Wireless.Channel = p
+	c.Wireless.Channel = p.Normalize()
 	return c
 }
 

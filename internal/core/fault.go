@@ -105,20 +105,29 @@ func (m *Machine) progressCounter() uint64 {
 	return c
 }
 
-// runGuarded executes the simulation in guardChunk-cycle windows, checking
-// the abort hook, the cycle budget, and the progress watchdog between
-// windows. Chunking uses RunBounded, which never advances the clock past
-// the last executed event, so a run that finishes within its budget is
-// bit-identical to an unguarded Run — same event order, same final cycle.
-// On any guard trip the live threads' breadcrumbs are captured before
-// Shutdown (which clears them) and returned in the error.
-// runGuardedUntil is the guarded form of RunUntil: the horizon-cut
-// kernels expect threads to still be live at cycle t, so reaching t is
-// success, while the abort hook, a budget below t, and the progress
-// watchdog still convert hangs into structured errors along the way.
-func (m *Machine) runGuardedUntil(t sim.Time) error {
+// forever is Run's horizon: the guarded loop chunks until the workload
+// finishes, deadlocks, or trips a guard.
+const forever = ^sim.Time(0)
+
+// runGuarded executes the simulation up to horizon t in guardChunk-cycle
+// windows, checking the abort hook, the cycle budget, and the progress
+// watchdog between windows. Chunking uses RunBounded, which never advances
+// the clock past the last executed event, so a run that finishes within
+// its budget is bit-identical to an unguarded Run or RunUntil — same event
+// order, same final cycle. On any guard trip the live threads'
+// breadcrumbs are captured before Shutdown (which clears them) and
+// returned in the error.
+//
+// cut selects RunUntil's semantics: the horizon-cut kernels expect
+// threads to still be live at t, so reaching t is success, the clock is
+// advanced to exactly t and the live threads are retired. Without cut
+// (Run, t = forever) a queue that drains with threads still parked is a
+// genuine deadlock, reported exactly as the unguarded Run would.
+func (m *Machine) runGuarded(t sim.Time, cut bool) error {
 	var (
-		lastCount    = m.progressCounter()
+		lastCount = m.progressCounter()
+		// horizon is the swept-to time; the watchdog measures elapsed
+		// simulated time against it (Now() stalls when events are sparse).
 		horizon      = m.Eng.Now()
 		lastProgress = horizon
 	)
@@ -131,8 +140,9 @@ func (m *Machine) runGuardedUntil(t sim.Time) error {
 			m.Eng.Shutdown()
 			return ErrAborted
 		}
-		horizon += guardChunk
-		if horizon > t {
+		if t-horizon > guardChunk {
+			horizon += guardChunk
+		} else {
 			horizon = t
 		}
 		if budget > 0 && horizon > budget {
@@ -140,7 +150,12 @@ func (m *Machine) runGuardedUntil(t sim.Time) error {
 		}
 		m.Eng.RunBounded(horizon)
 		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
-			break // every thread finished before the cut
+			break // every thread finished
+		}
+		if !cut && m.Eng.Pending() == 0 {
+			err := m.Eng.CheckDeadlock()
+			m.Eng.Shutdown()
+			return err
 		}
 		if budget > 0 && horizon >= budget {
 			e := &BudgetError{Budget: budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
@@ -158,55 +173,11 @@ func (m *Machine) runGuardedUntil(t sim.Time) error {
 			}
 		}
 	}
-	// Advance the clock to the exact horizon, as the unguarded RunUntil
-	// does (no events remain at or below t).
-	m.Eng.RunUntil(t)
-	m.Eng.Shutdown()
-	return nil
-}
-
-func (m *Machine) runGuarded() error {
-	var (
-		lastCount = m.progressCounter()
-		// horizon is the swept-to time; the watchdog measures elapsed
-		// simulated time against it (Now() stalls when events are sparse).
-		horizon      = m.Eng.Now()
-		lastProgress = horizon
-	)
-	for {
-		if m.Cfg.Abort != nil && m.Cfg.Abort.F != nil && m.Cfg.Abort.F() {
-			m.Eng.Shutdown()
-			return ErrAborted
-		}
-		horizon += guardChunk
-		if m.Cfg.Budget > 0 && horizon > m.Cfg.Budget {
-			horizon = m.Cfg.Budget
-		}
-		m.Eng.RunBounded(horizon)
-		if m.Eng.Live() == 0 && m.Eng.Pending() == 0 {
-			return nil
-		}
-		if m.Eng.Pending() == 0 {
-			// The queue drained with threads still parked: a genuine
-			// deadlock, reported exactly as the unguarded Run would.
-			err := m.Eng.CheckDeadlock()
-			m.Eng.Shutdown()
-			return err
-		}
-		if m.Cfg.Budget > 0 && horizon >= m.Cfg.Budget {
-			e := &BudgetError{Budget: m.Cfg.Budget, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-			m.Eng.Shutdown()
-			return e
-		}
-		if m.Cfg.Watchdog > 0 {
-			if c := m.progressCounter(); c != lastCount {
-				lastCount = c
-				lastProgress = horizon
-			} else if horizon-lastProgress >= m.Cfg.Watchdog {
-				e := &LivelockError{Window: m.Cfg.Watchdog, Now: m.Eng.Now(), Parked: m.Eng.Breadcrumbs()}
-				m.Eng.Shutdown()
-				return e
-			}
-		}
+	if cut {
+		// Advance the clock to the exact horizon, as the unguarded
+		// RunUntil does (no events remain at or below t).
+		m.Eng.RunUntil(t)
+		m.Eng.Shutdown()
 	}
+	return nil
 }

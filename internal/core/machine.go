@@ -118,7 +118,7 @@ func (m *Machine) AllocArray(n int) uint64 {
 // BudgetError/LivelockError/ErrAborted results.
 func (m *Machine) Run() error {
 	if m.guarded() {
-		return m.runGuarded()
+		return m.runGuarded(forever, false)
 	}
 	return m.Eng.Run()
 }
@@ -129,7 +129,7 @@ func (m *Machine) Run() error {
 // or abort enforcement.
 func (m *Machine) RunUntil(t sim.Time) error {
 	if m.guarded() {
-		return m.runGuardedUntil(t)
+		return m.runGuarded(t, true)
 	}
 	m.Eng.RunUntil(t)
 	m.Eng.Shutdown()

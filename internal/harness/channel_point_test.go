@@ -71,7 +71,7 @@ func TestLossyPointDeterministic(t *testing.T) {
 // the channel model's existence is invisible until a lossy profile is
 // asked for.
 func TestIdealChannelRowMatchesGolden(t *testing.T) {
-	want := loadGolden(t)
+	want := loadGolden(t, goldenPath)
 	for _, pt := range []GoldenPoint{
 		{Kernel: "tightloop", Kind: config.WiSync, Cores: 16, Seed: 1},
 		{Kernel: "cas-fifo", Kind: config.WiSync, Cores: 16, Seed: 1},
@@ -121,5 +121,33 @@ func TestChannelDigest(t *testing.T) {
 	strayed.Retries = 7
 	if digest(strayed) != digest(base) {
 		t.Fatal("BER/retries under the ideal profile split the digest")
+	}
+}
+
+// TestLossyDefaultsAgree pins that the figure sweeps and the point
+// vocabulary share one set of lossy-channel defaults: a uniform channel
+// with no BER or retry budget named builds, through Options.Config, the
+// machine the normalized PointSpec builds — the profile default BER, not
+// an error-free medium that only claims to be lossy.
+func TestLossyDefaultsAgree(t *testing.T) {
+	for _, p := range []channel.Profile{channel.Uniform, channel.Distance, channel.Burst} {
+		opt, err := Options{Channel: channel.Params{Profile: p}}.Config(config.WiSyncNoT, 16).Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := PointSpec{Workload: "tightloop", Kind: config.WiSyncNoT, Cores: 16, Channel: p}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spec.Config().Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt != want {
+			t.Errorf("%v: Options.Config digest %s, normalized PointSpec digest %s", p, opt, want)
+		}
+		if spec.BER != channel.DefaultBER {
+			t.Errorf("%v: normalized BER %g, want the profile default %g", p, spec.BER, channel.DefaultBER)
+		}
 	}
 }

@@ -15,20 +15,6 @@ import (
 // interpreter must keep reproducing it byte for byte.
 const goldenAppsPath = "testdata/golden_apps.tsv"
 
-func loadGoldenApps(t *testing.T) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(goldenAppsPath)
-	if err != nil {
-		t.Fatalf("no apps golden file (generate with -update-golden): %v", err)
-	}
-	want := make(map[string]string)
-	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
-		id, _, _ := strings.Cut(line, "\t")
-		want[id] = line
-	}
-	return want
-}
-
 // TestGoldenAppsConformance re-runs the full-application conformance
 // matrix and asserts each metrics line is byte-identical to the committed
 // file.
@@ -43,7 +29,7 @@ func TestGoldenAppsConformance(t *testing.T) {
 		return
 	}
 
-	want := loadGoldenApps(t)
+	want := loadGolden(t, goldenAppsPath)
 	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if len(want) != len(AppGoldenPoints()) {
 		t.Errorf("apps golden file has %d points, matrix has %d (regenerate with -update-golden)",

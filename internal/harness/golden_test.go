@@ -37,12 +37,13 @@ func shortPoints() []GoldenPoint {
 	return short
 }
 
-// loadGolden reads the committed golden file as an id -> line map.
-func loadGolden(t *testing.T) map[string]string {
+// loadGolden reads a committed golden file (goldenPath or goldenAppsPath)
+// as an id -> line map.
+func loadGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("no golden file (generate with -update-golden): %v", err)
+		t.Fatalf("no golden file %s (generate with -update-golden): %v", path, err)
 	}
 	want := make(map[string]string)
 	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
@@ -91,7 +92,7 @@ func TestGoldenConformance(t *testing.T) {
 		return
 	}
 
-	want := loadGolden(t)
+	want := loadGolden(t, goldenPath)
 	compareToGolden(t, want, strings.Split(strings.TrimRight(got, "\n"), "\n"))
 	if !testing.Short() && len(want) != len(GoldenPoints()) {
 		t.Errorf("golden file has %d points, matrix has %d (regenerate with -update-golden)",

@@ -88,12 +88,13 @@ func (o Options) out() io.Writer {
 	return o.Out
 }
 
-// ForEach runs jobs 0..n-1 across min(workers, n) goroutines (workers <= 0
-// means runtime.GOMAXPROCS(0)). Jobs must be independent and write only
-// their own result slots; ForEach returns when all jobs finished. A panic
-// in a job is re-raised in the caller after the pool drains, so worker
-// goroutines never die silently.
-func ForEach(workers, n int, job func(int)) {
+// forEach runs jobs 0..n-1 across min(o.Workers, n) goroutines (Workers
+// <= 0 means runtime.GOMAXPROCS(0)). Jobs must be independent and write
+// only their own result slots; forEach returns when all jobs finished. A
+// panic in a job is re-raised in the caller after the pool drains, so
+// worker goroutines never die silently.
+func (o Options) forEach(n int, job func(int)) {
+	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -136,9 +137,6 @@ func ForEach(workers, n int, job func(int)) {
 		panic(r)
 	}
 }
-
-// forEach is ForEach over the option's worker count.
-func (o Options) forEach(n int, job func(int)) { ForEach(o.Workers, n, job) }
 
 // Table4 reproduces Table 4: area and power of the transceiver plus two
 // antennas against two reference cores at 22 nm.

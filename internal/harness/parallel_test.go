@@ -22,7 +22,7 @@ func poolWorkers() int {
 func TestForEachCoversAllJobsOnce(t *testing.T) {
 	const n = 500
 	var hits [n]atomic.Int32
-	ForEach(7, n, func(i int) { hits[i].Add(1) })
+	Options{Workers: 7}.forEach(n, func(i int) { hits[i].Add(1) })
 	for i := range hits {
 		if got := hits[i].Load(); got != 1 {
 			t.Fatalf("job %d ran %d times", i, got)
@@ -36,7 +36,7 @@ func TestForEachPropagatesPanic(t *testing.T) {
 			t.Fatal("worker panic was swallowed")
 		}
 	}()
-	ForEach(3, 10, func(i int) {
+	Options{Workers: 3}.forEach(10, func(i int) {
 		if i == 4 {
 			panic("boom")
 		}

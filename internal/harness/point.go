@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"wisync/internal/apps"
@@ -46,12 +47,11 @@ type PointSpec struct {
 	// Channel selects the channel-error profile (default ideal: the
 	// paper's error-free medium, under which rows match the golden
 	// matrices byte for byte). BER and Retries configure the lossy
-	// profiles; both are zeroed under ideal and defaulted otherwise
-	// (1e-4, channel.DefaultMaxRetries), so equivalent specs digest
-	// identically. BERGood/PGB/PBG configure the burst (Gilbert–Elliott)
+	// profiles; BERGood/PGB/PBG configure the burst (Gilbert–Elliott)
 	// profile only: BER is the bad-state error rate, BERGood the
 	// good-state rate, PGB/PBG the per-message state-transition
-	// probabilities (defaulted to channel.DefaultPGB/DefaultPBG).
+	// probabilities. Normalize fills and zeroes them through
+	// channel.Params.Normalize, so equivalent specs digest identically.
 	Channel channel.Profile `json:"channel,omitempty"`
 	BER     float64         `json:"ber,omitempty"`
 	Retries int             `json:"retries,omitempty"`
@@ -78,6 +78,17 @@ type PointSpec struct {
 	CS       int    `json:"cs,omitempty"`       // CAS critical-section instructions
 	Duration uint64 `json:"duration,omitempty"` // CAS kernel run length in cycles
 }
+
+// Workloads lists every workload Normalize accepts, in presentation
+// order: the kernels (the golden matrix's kernel column), then app:<name>
+// for each application profile. workloadAliases adds the short names.
+var Workloads = func() []string {
+	w := []string{"tightloop", "livermore2", "livermore3", "livermore6", "cas-fifo", "cas-lifo", "cas-add"}
+	for _, p := range apps.Profiles() {
+		w = append(w, "app:"+p.Name)
+	}
+	return w
+}()
 
 // casKinds maps canonical CAS workload names to kernel kinds.
 var casKinds = map[string]kernels.CASKind{
@@ -106,6 +117,9 @@ func (s PointSpec) Normalize() (PointSpec, error) {
 	if w, ok := workloadAliases[s.Workload]; ok {
 		s.Workload = w
 	}
+	if !slices.Contains(Workloads, s.Workload) {
+		return s, fmt.Errorf("harness: unknown workload %q", s.Workload)
+	}
 	switch {
 	case s.Workload == "tightloop":
 		if s.Iters == 0 {
@@ -126,9 +140,6 @@ func (s PointSpec) Normalize() (PointSpec, error) {
 		}
 		s.Iters, s.Passes, s.CS, s.Duration = 0, 0, 0, 0
 	case strings.HasPrefix(s.Workload, "cas-"):
-		if _, ok := casKinds[s.Workload]; !ok {
-			return s, fmt.Errorf("harness: unknown workload %q", s.Workload)
-		}
 		if s.CS == 0 {
 			s.CS = 128
 		}
@@ -137,34 +148,10 @@ func (s PointSpec) Normalize() (PointSpec, error) {
 		}
 		s.Iters, s.N, s.Passes = 0, 0, 0
 	case strings.HasPrefix(s.Workload, "app:"):
-		if _, ok := apps.ByName(strings.TrimPrefix(s.Workload, "app:")); !ok {
-			return s, fmt.Errorf("harness: unknown application %q", strings.TrimPrefix(s.Workload, "app:"))
-		}
 		s.N, s.Passes, s.CS, s.Duration = 0, 0, 0, 0
-	default:
-		return s, fmt.Errorf("harness: unknown workload %q", s.Workload)
 	}
-	if s.Channel == channel.Ideal {
-		s.BER, s.Retries = 0, 0
-	} else {
-		if s.BER == 0 {
-			s.BER = 1e-4
-		}
-		if s.Retries == 0 {
-			s.Retries = channel.DefaultMaxRetries
-		}
-	}
-	if s.Channel == channel.Burst {
-		if s.PGB == 0 {
-			s.PGB = channel.DefaultPGB
-		}
-		if s.PBG == 0 {
-			s.PBG = channel.DefaultPBG
-		}
-	} else {
-		// Only the burst profile reads the Gilbert–Elliott knobs.
-		s.BERGood, s.PGB, s.PBG = 0, 0, 0
-	}
+	ch := s.channelParams().Normalize()
+	s.BER, s.Retries, s.BERGood, s.PGB, s.PBG = ch.BER, ch.MaxRetries, ch.BERGood, ch.PGB, ch.PBG
 	if s.Faults != nil {
 		s.Faults.Normalize()
 		if s.Faults.Empty() {
@@ -219,14 +206,19 @@ func (s PointSpec) Validate() error {
 	return nil
 }
 
+// channelParams gathers the spec's channel fields.
+func (s PointSpec) channelParams() channel.Params {
+	return channel.Params{
+		Profile: s.Channel, BER: s.BER, MaxRetries: s.Retries,
+		BERGood: s.BERGood, PGB: s.PGB, PBG: s.PBG,
+	}
+}
+
 // Config builds the point's machine configuration.
 func (s PointSpec) Config() config.Config {
 	return config.New(s.Kind, s.Cores).WithVariant(s.Variant).WithSeed(s.Seed).
 		WithMAC(s.MAC).
-		WithChannel(channel.Params{
-			Profile: s.Channel, BER: s.BER, MaxRetries: s.Retries,
-			BERGood: s.BERGood, PGB: s.PGB, PBG: s.PBG,
-		}).
+		WithChannel(s.channelParams()).
 		WithFaults(s.Faults).
 		WithBudget(sim.Time(s.Budget)).WithWatchdog(sim.Time(s.Watchdog))
 }

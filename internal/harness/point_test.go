@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,6 +196,23 @@ func TestPointDigestPinned(t *testing.T) {
 		}
 		if got, err := old.Digest(); err != nil || got != "9e3363a2bf2ce8480f2fced06e2a9b8cc38b8ec63d29c902cf7459058de74254" {
 			t.Errorf("spec carrying %s: digest %s (%v), want the pinned tightloop digest", field, got, err)
+		}
+	}
+}
+
+// TestWorkloadsNormalize pins Workloads as the vocabulary Normalize
+// accepts: every listed name and every short alias normalizes, and an
+// alias lands on a listed name.
+func TestWorkloadsNormalize(t *testing.T) {
+	for _, w := range Workloads {
+		if _, err := (PointSpec{Workload: w, Kind: config.WiSync, Cores: 16}).Normalize(); err != nil {
+			t.Errorf("listed workload %q: %v", w, err)
+		}
+	}
+	for alias := range workloadAliases {
+		n, err := PointSpec{Workload: alias, Kind: config.WiSync, Cores: 16}.Normalize()
+		if err != nil || !slices.Contains(Workloads, n.Workload) {
+			t.Errorf("alias %q normalized to %q (%v), not a listed workload", alias, n.Workload, err)
 		}
 	}
 }
