@@ -96,9 +96,13 @@ func New(cfg config.Config) (*Machine, error) {
 // AllocLine reserves one fresh cache line of regular memory and returns the
 // address of its first word. Separate calls never share a line, avoiding
 // accidental false sharing between synchronization variables.
-func (m *Machine) AllocLine() uint64 {
+func (m *Machine) AllocLine() uint64 { return m.AllocLines(1) }
+
+// AllocLines reserves n consecutive fresh cache lines and returns the
+// address of the first.
+func (m *Machine) AllocLines(n int) uint64 {
 	a := m.addrCursor
-	m.addrCursor += mem.LineBytes
+	m.addrCursor += uint64(n) * mem.LineBytes
 	return a
 }
 

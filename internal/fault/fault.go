@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -58,6 +59,14 @@ type Plan struct {
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Outages) == 0 && len(p.TokenLoss) == 0)
+}
+
+// Clone returns a deep copy of the plan (nil for a nil plan).
+func (p *Plan) Clone() *Plan {
+	if p == nil {
+		return nil
+	}
+	return &Plan{Outages: slices.Clone(p.Outages), TokenLoss: slices.Clone(p.TokenLoss)}
 }
 
 // Normalize sorts the plan into its canonical order so equal schedules

@@ -153,6 +153,9 @@ func (s PointSpec) Normalize() (PointSpec, error) {
 	ch := s.channelParams().Normalize()
 	s.BER, s.Retries, s.BERGood, s.PGB, s.PBG = ch.BER, ch.MaxRetries, ch.BERGood, ch.PGB, ch.PBG
 	if s.Faults != nil {
+		// The plan is shared with the caller (and with every spec of a
+		// job or a -cores list): sort a copy, never the caller's plan.
+		s.Faults = s.Faults.Clone()
 		s.Faults.Normalize()
 		if s.Faults.Empty() {
 			s.Faults = nil

@@ -2,11 +2,13 @@ package harness
 
 import (
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"wisync/internal/config"
+	"wisync/internal/fault"
 )
 
 // quickSpecs is a small batch of fast golden-covered points spanning kinds
@@ -67,6 +69,41 @@ func TestRunPointsPanicIsolation(t *testing.T) {
 			t.Fatalf("neighbor %s row changed after injected panic:\nclean:    %s\npoisoned: %s",
 				o.Spec.ID(), clean[i].Row, o.Row)
 		}
+	}
+}
+
+// TestRunPointsSharedFaultPlan runs several specs that share one unsorted
+// fault plan on concurrent workers (meaningful under -race): each worker
+// normalizes its own copy, so the caller's plan is left untouched and the
+// points, identical but for their slot, produce identical rows.
+func TestRunPointsSharedFaultPlan(t *testing.T) {
+	plan := &fault.Plan{
+		Outages:   []fault.Outage{{Node: 9, At: 4000, For: 300}, {Node: 2, At: 1500, For: 200}, {Node: 5, At: 1500, For: 100}},
+		TokenLoss: []uint64{7000, 2500},
+	}
+	orig := plan.Clone()
+	specs := make([]PointSpec, 4)
+	for i := range specs {
+		specs[i] = PointSpec{Workload: "tightloop", Kind: config.WiSync, Cores: 16, Seed: 1, Faults: plan}
+	}
+	out := RunPoints(Options{Workers: len(specs)}, specs)
+	if !reflect.DeepEqual(plan, orig) {
+		t.Fatalf("running the points rewrote the caller's plan:\n got %+v\nwant %+v", plan, orig)
+	}
+	for i, o := range out {
+		if o.Err != nil {
+			t.Fatalf("point %d: %v", i, o.Err)
+		}
+		if o.Row != out[0].Row {
+			t.Fatalf("point %d row differs from point 0:\n%s\n%s", i, o.Row, out[0].Row)
+		}
+	}
+	n, err := specs[0].Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Faults == plan || n.Faults.Outages[0] != orig.Outages[1] || n.Faults.TokenLoss[0] != orig.TokenLoss[1] {
+		t.Fatalf("Normalize did not return a sorted copy: %+v", n.Faults)
 	}
 }
 

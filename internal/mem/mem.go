@@ -215,7 +215,7 @@ type System struct {
 	mesh *noc.Mesh
 	p    Params
 	l1   []l1cache
-	// lines is the paged dense store of per-line word values and
+	// lines is the paged store of per-line word values and
 	// directory entries (see store.go).
 	lines lineStore
 	mc    [4]sim.Resource

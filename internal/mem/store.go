@@ -1,25 +1,29 @@
 package mem
 
-// This file implements the paged dense line store that backs the memory
-// system's global per-line state: word values and directory entries. The
-// L1s keep no per-line side state (see l1cache). The previous implementation
-// kept four hash maps keyed by line or word address; profiles put their
-// hashing and probing at ~5% of a Baseline run. Workload addresses come
-// from the machine's linear allocator (a bump pointer starting at 1 MB),
-// so the line-index keyspace is small and dense — exactly what a paged
-// array handles with one shift, one bounds check and one nil check per
-// lookup.
+// This file implements the line store that backs the memory system's
+// global per-line state: word values and directory entries. The L1s keep
+// no per-line side state (see l1cache). Workload addresses come from the
+// machine's linear allocator (a bump pointer starting at 1 MB), so the
+// line-index keyspace is small and dense: a lookup is one shift, one
+// bounds check and two pointer loads through a paged table of entry
+// pointers, where the hash maps this store replaced cost ~5% of a
+// Baseline run in hashing and probing.
+//
+// The keyspace is dense, but a run touches little of it. Baseline+'s MCS
+// locks reserve 1+2n lines per lock and a run touches a handful of them:
+// a 256-core dedup point touches ~1% of the lines on its touched pages.
+// Entries are therefore allocated per touched line, in touch order, from
+// a slab refilled a chunk at a time; a page holds only pointers.
 //
 // Addresses outside the dense window (sparse pokes in tests, or any
-// workload that fabricates far-flung addresses) fall back to a map of
-// individually allocated entries, so correctness never depends on the
-// allocator's layout — only speed does. BenchmarkLineStore in
-// store_test.go pins the dense path's advantage over the map it replaced.
+// workload that fabricates far-flung addresses) fall back to a map, so
+// correctness never depends on the allocator's layout — only speed does.
+// BenchmarkLineStore in store_test.go pins the dense path's advantage
+// over the maps it replaced and the cost of first touches.
 
-// pageShift is log2 of the lines per page. Machines are built per sweep
-// point, so a freshly touched page is zeroed memory on that point's
-// critical path: pages of 128 ~180 B entries trade first-touch cost
-// against page-table size.
+// pageShift is log2 of the lines per page. A page is 128 entry pointers
+// (1 KB): small enough that a page reached by a single touched line costs
+// little, large enough that the page table stays short.
 const pageShift = 7
 
 // maxDensePages bounds the directly indexed page table. Lines whose page
@@ -29,24 +33,29 @@ const pageShift = 7
 // with a worst-case page-pointer table of 256 KB.
 const maxDensePages = 1 << 15
 
+// slabChunk is how many entries one slab refill allocates.
+const slabChunk = 64
+
 // lineWords is the number of 64-bit words per coherence line.
 const lineWords = LineBytes / 8
 
 // lineStore is a paged dense map from line index to *lineEntry with a
 // sparse overflow map. The zero value is empty and ready to use. Entry
-// pointers are stable for the life of the store (pages and sparse entries
-// are never moved), so callers may hold them across events.
+// pointers are stable for the life of the store (slab chunks are never
+// moved or reused), so callers may hold them across events.
 type lineStore struct {
-	pages  []*[1 << pageShift]lineEntry
+	pages  []*[1 << pageShift]*lineEntry
 	sparse map[uint64]*lineEntry
+	// slab is the unused tail of the current chunk of entries.
+	slab []lineEntry
 }
 
-// get returns the entry for line, or nil if the line was never touched.
+// get returns the entry for line, or nil if the line was never fetched.
 func (st *lineStore) get(line uint64) *lineEntry {
 	pi := line >> pageShift
 	if pi < uint64(len(st.pages)) {
 		if pg := st.pages[pi]; pg != nil {
-			return &pg[line&(1<<pageShift-1)]
+			return pg[line&(1<<pageShift-1)]
 		}
 		return nil
 	}
@@ -54,8 +63,21 @@ func (st *lineStore) get(line uint64) *lineEntry {
 }
 
 // fetch returns the entry for line, creating it (and its page) on demand.
-// A fresh entry's directory has no owner.
+// A fresh entry's directory has no owner. Only the lookup of an existing
+// dense entry stays in fetch, the hot path; first touches take fetchSlow.
 func (st *lineStore) fetch(line uint64) *lineEntry {
+	if pi := line >> pageShift; pi < uint64(len(st.pages)) {
+		if pg := st.pages[pi]; pg != nil {
+			if e := pg[line&(1<<pageShift-1)]; e != nil {
+				return e
+			}
+		}
+	}
+	return st.fetchSlow(line)
+}
+
+// fetchSlow is fetch's first-touch path.
+func (st *lineStore) fetchSlow(line uint64) *lineEntry {
 	pi := line >> pageShift
 	if pi < maxDensePages {
 		// append's amortized doubling matters here: the bump allocator
@@ -65,22 +87,32 @@ func (st *lineStore) fetch(line uint64) *lineEntry {
 		}
 		pg := st.pages[pi]
 		if pg == nil {
-			pg = new([1 << pageShift]lineEntry)
-			for i := range pg {
-				pg[i].dir.owner = -1
-			}
+			pg = new([1 << pageShift]*lineEntry)
 			st.pages[pi] = pg
 		}
-		return &pg[line&(1<<pageShift-1)]
+		e := st.alloc()
+		pg[line&(1<<pageShift-1)] = e
+		return e
 	}
 	e := st.sparse[line]
 	if e == nil {
 		if st.sparse == nil {
 			st.sparse = make(map[uint64]*lineEntry)
 		}
-		e = &lineEntry{dir: dirLine{owner: -1}}
+		e = st.alloc()
 		st.sparse[line] = e
 	}
+	return e
+}
+
+// alloc hands out the next fresh entry from the slab.
+func (st *lineStore) alloc() *lineEntry {
+	if len(st.slab) == 0 {
+		st.slab = make([]lineEntry, slabChunk)
+	}
+	e := &st.slab[0]
+	st.slab = st.slab[1:]
+	e.dir.owner = -1
 	return e
 }
 

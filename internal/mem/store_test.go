@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 
 	"wisync/internal/noc"
@@ -22,9 +23,13 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 	if got := st.get(100); got != e {
 		t.Error("get after fetch returns a different entry (pointer instability)")
 	}
-	// Neighbors on the same page are initialized but independent.
-	if n := st.get(101); n == nil || n.dir.owner != -1 || n.words[3] != 0 {
-		t.Errorf("neighbor entry not independently initialized: %+v", n)
+	// Entries exist per fetched line: an untouched neighbour on the same
+	// page stays absent, and fetching it yields a fresh, independent entry.
+	if n := st.get(101); n != nil {
+		t.Errorf("untouched neighbour on a touched page = %+v, want nil", n)
+	}
+	if n := st.fetch(101); n == e || n.dir.owner != -1 || n.words[3] != 0 {
+		t.Errorf("neighbour entry not independently initialized: %+v", n)
 	}
 
 	// A line far beyond the dense window lands in the sparse map.
@@ -44,6 +49,63 @@ func TestPagedStoreDenseAndSparse(t *testing.T) {
 	if st.get(huge+1) != nil {
 		t.Error("sparse neighbor materialized spontaneously")
 	}
+}
+
+// TestLineStoreStablePointers fetches lines across several slab refills
+// and page boundaries: every entry keeps its address and its contents,
+// and every fresh entry starts with no owner.
+func TestLineStoreStablePointers(t *testing.T) {
+	var st lineStore
+	const base = (1 << 20) / LineBytes
+	n := 3*slabChunk + 5
+	entries := make([]*lineEntry, n)
+	for i := range entries {
+		// Stride 3 spans several pages, in touch order like the allocator.
+		e := st.fetch(base + uint64(3*i))
+		if e.dir.owner != -1 {
+			t.Fatalf("fresh entry %d owner = %d, want -1", i, e.dir.owner)
+		}
+		e.words[1] = uint64(i)
+		e.dir.owner = i
+		entries[i] = e
+	}
+	for i, want := range entries {
+		line := base + uint64(3*i)
+		if got := st.get(line); got != want {
+			t.Fatalf("get(line %d) = %p, want %p: pointer moved after slab refills", i, got, want)
+		}
+		if got := st.fetch(line); got != want || got.words[1] != uint64(i) || got.dir.owner != i {
+			t.Fatalf("fetch(line %d) = %p {word %d, owner %d}, want %p {%d, %d}",
+				i, got, got.words[1], got.dir.owner, want, i, i)
+		}
+	}
+}
+
+// TestLineStoreStridedFootprint pins the store's footprint under the
+// first-touch pattern of Baseline+'s MCS locks: at 256 cores each lock
+// reserves 1+2*256 = 513 lines and a run touches few of them, so touched
+// lines sit one per 513-line stride. For 2,400 such locks (dedup's count)
+// whole pages of 128 entries would allocate ~59 MB; entries per touched
+// line cost a 1 KB pointer page plus one ~184 B entry per lock, ~3.5 MB
+// in all.
+func TestLineStoreStridedFootprint(t *testing.T) {
+	const (
+		base    = (1 << 20) / LineBytes
+		stride  = 513
+		strides = 2400
+		bound   = 6 << 20
+	)
+	var st lineStore
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < strides; i++ {
+		st.fetch(base + i*stride).words[0] = i
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > bound {
+		t.Errorf("touching %d lines %d apart allocated %d bytes, want <= %d", strides, stride, grew, bound)
+	}
+	runtime.KeepAlive(&st)
 }
 
 // TestSystemSparseAddressFallback drives the full memory system at an
@@ -95,9 +157,13 @@ func TestWordIdxAliasing(t *testing.T) {
 
 // BenchmarkLineStore pins the dense paged store's advantage over the hash
 // maps it replaced (words and directory entries keyed by address or
-// line). The access pattern models a transaction's hot lookups: a
-// directory fetch plus a word read/write over a kernel-sized working set,
-// with the 90%-reread locality a barrier-driven kernel exhibits.
+// line). The access pattern of paged and map models a transaction's hot
+// lookups: a directory fetch plus a word read/write over a kernel-sized
+// working set, with the 90%-reread locality a barrier-driven kernel
+// exhibits. strided measures first touches instead: one line per 513-line
+// stride, the footprint of 256-core MCS locks, in a fresh store per 2,400
+// touches (one dedup run's locks); it reports time and bytes per touch and
+// is not part of the regression gate's baseline.
 func BenchmarkLineStore(b *testing.B) {
 	// Working set: ~2000 lines starting at the allocator base, like a
 	// 256-core TightLoop.
@@ -115,6 +181,17 @@ func BenchmarkLineStore(b *testing.B) {
 			sink += le.words[0] + uint64(le.dir.owner)
 		}
 		_ = sink
+	})
+	b.Run("strided", func(b *testing.B) {
+		const stride, locks = 513, 2400
+		b.ReportAllocs()
+		var st lineStore
+		for i := 0; i < b.N; i++ {
+			if i%locks == 0 {
+				st = lineStore{}
+			}
+			st.fetch(base + uint64(i%locks)*stride).words[0] = uint64(i)
+		}
 	})
 	b.Run("map", func(b *testing.B) {
 		// The seed implementation: one map per concern.

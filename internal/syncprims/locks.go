@@ -1,6 +1,9 @@
 package syncprims
 
-import "wisync/internal/core"
+import (
+	"wisync/internal/core"
+	"wisync/internal/mem"
+)
 
 // spinLock is a test-and-test&set lock over any Var backend: spin until
 // free, then attempt an atomic grab. On a cache backend the spinning is
@@ -19,27 +22,24 @@ type spinLock struct {
 // only the successor's line, so contention never storms the directory.
 type mcsLock struct {
 	tail uint64 // 0 = free, otherwise core+1
-	// per-core qnode fields, each on its own cache line
-	locked []uint64
-	next   []uint64
+	// qnodes is the first of 2n lines holding the per-core qnode fields,
+	// each on its own cache line: core i's locked flag, then its next
+	// pointer (see locked and next).
+	qnodes uint64
 	// steps are the per-core recycled state machines, allocated lazily on
 	// first use.
 	steps []*mcsStep
 }
 
 func newMCSLock(m *core.Machine) *mcsLock {
-	n := m.Cfg.Cores
-	l := &mcsLock{
-		tail:   m.AllocLine(),
-		locked: make([]uint64, n),
-		next:   make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		l.locked[i] = m.AllocLine()
-		l.next[i] = m.AllocLine()
-	}
-	return l
+	return &mcsLock{tail: m.AllocLine(), qnodes: m.AllocLines(2 * m.Cfg.Cores)}
 }
+
+// locked returns the address of core's qnode locked flag.
+func (l *mcsLock) locked(core int) uint64 { return l.qnodes + uint64(2*core)*mem.LineBytes }
+
+// next returns the address of core's qnode next pointer.
+func (l *mcsLock) next(core int) uint64 { return l.qnodes + uint64(2*core+1)*mem.LineBytes }
 
 // The locks run on per-core recycled step structs, like the barriers: a
 // core holds at most one pending operation on a given lock at a time, so
@@ -124,7 +124,7 @@ type mcsStep struct {
 
 func (l *mcsLock) step(t *core.Task) *mcsStep {
 	if l.steps == nil {
-		l.steps = make([]*mcsStep, len(l.locked))
+		l.steps = make([]*mcsStep, t.M.Cfg.Cores)
 	}
 	s := l.steps[t.Core]
 	if s == nil {
@@ -151,7 +151,7 @@ func (l *mcsLock) Acquire(t *core.Task, then func()) {
 	s := l.step(t)
 	s.then = then
 	t.Instr(8) // qnode setup and pointer arithmetic
-	t.Write(l.next[s.me], 0, s.afterInitFn)
+	t.Write(l.next(s.me), 0, s.afterInitFn)
 }
 
 func (s *mcsStep) afterInit() { s.t.Swap(s.l.tail, uint64(s.me+1), s.onSwapFn) }
@@ -162,15 +162,15 @@ func (s *mcsStep) onSwap(pred uint64) {
 		return
 	}
 	s.pred = pred
-	s.t.Write(s.l.locked[s.me], 1, s.afterLockedFn)
+	s.t.Write(s.l.locked(s.me), 1, s.afterLockedFn)
 }
 
 func (s *mcsStep) afterLocked() {
-	s.t.Write(s.l.next[s.pred-1], uint64(s.me+1), s.afterLinkFn)
+	s.t.Write(s.l.next(int(s.pred-1)), uint64(s.me+1), s.afterLinkFn)
 }
 
 func (s *mcsStep) afterLink() {
-	s.t.SpinUntil(s.l.locked[s.me], lockFree, s.onAcqSpinFn)
+	s.t.SpinUntil(s.l.locked(s.me), lockFree, s.onAcqSpinFn)
 }
 
 func (s *mcsStep) onAcqSpin(uint64) { s.done() }
@@ -179,7 +179,7 @@ func (l *mcsLock) Release(t *core.Task, then func()) {
 	s := l.step(t)
 	s.then = then
 	t.Instr(6)
-	t.Read(l.next[s.me], s.onNextFn)
+	t.Read(l.next(s.me), s.onNextFn)
 }
 
 func (s *mcsStep) onNext(succ uint64) {
@@ -196,10 +196,10 @@ func (s *mcsStep) onTailCAS(ok bool) {
 		return
 	}
 	// A successor is linking itself; wait for the link.
-	s.t.SpinUntil(s.l.next[s.me], lockTaken, s.handoffFn)
+	s.t.SpinUntil(s.l.next(s.me), lockTaken, s.handoffFn)
 }
 
-func (s *mcsStep) handoff(succ uint64) { s.t.Write(s.l.locked[succ-1], 0, s.doneFn) }
+func (s *mcsStep) handoff(succ uint64) { s.t.Write(s.l.locked(int(succ-1)), 0, s.doneFn) }
 
 func (s *mcsStep) done() {
 	then := s.then
